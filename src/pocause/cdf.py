@@ -166,6 +166,9 @@ def fit_logistic(
 class EmpiricalCdf:
     """Conditional CDF by exact (x, c) stratum counting.
 
+    The stratum index comes from one stable sort of the (x, c) rows: each
+    distinct row maps to its row numbers, in ascending order. Strata are
+    keyed and looked up by value, so -0.0 and 0.0 name the same stratum.
     Asking for a stratum with no rows raises NoSupportError; there is no
     smoothing and no borrowing across strata.
     """
@@ -181,13 +184,17 @@ class EmpiricalCdf:
         self._n_c = table.covariates().shape[1]
         if xc.shape[1] == 0:
             raise ConfigError("table has neither treatment nor covariate columns")
-        uniq, inverse = np.unique(xc, axis=0, return_inverse=True)
-        groups = [[] for _ in range(uniq.shape[0])]
-        for row, g in enumerate(inverse):
-            groups[g].append(row)
+        rows = np.lexsort(xc.T)
+        ordered = xc[rows]
+        starts = np.zeros(xc.shape[0], dtype=bool)
+        starts[:1] = True
+        for j in range(xc.shape[1]):
+            starts[1:] |= ordered[1:, j] != ordered[:-1, j]
+        first = np.flatnonzero(starts)
+        ends = np.append(first[1:], xc.shape[0])
         self._strata = {
-            uniq[g].tobytes(): np.asarray(rows, dtype=int)
-            for g, rows in enumerate(groups)
+            tuple(key): rows[a:b]
+            for key, a, b in zip(ordered[first].tolist(), first.tolist(), ends.tolist())
         }
         self._indicators: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
         self.clip_count = 0
@@ -211,7 +218,7 @@ class EmpiricalCdf:
 
     def rho_pair(self, threshold, x, c) -> RhoPair:
         point = self._point(x, c)
-        idx = self._strata.get(point.tobytes())
+        idx = self._strata.get(tuple(point.tolist()))
         if idx is None:
             raise NoSupportError(
                 f"no observations with treatment {point[: self._n_x].tolist()} "
@@ -324,7 +331,3 @@ class LogisticCdf:
             self.clip_count += 1
         return RhoPair(strict=strict, weak=weak, clipped=clipped)
 
-
-def estimate_rho_pair(estimator, threshold, x, c) -> RhoPair:
-    """Functional spelling of estimator.rho_pair, for pipeline code."""
-    return estimator.rho_pair(threshold, x, c)

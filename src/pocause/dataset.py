@@ -8,9 +8,10 @@ observed in the file. That coding rule is deliberate and fixed so the same
 file always produces the same codes.
 
 Errors point at the offending file line and column by name. Missing values
-(empty cells, "NA", "?") are rejected outright for any non-ignored column;
-this library has no imputation story and pretending otherwise would poison
-the estimators downstream.
+(empty cells, "NA", "?") are rejected outright for any non-ignored column,
+and so are numeric cells that parse to nan or an infinity; this library has
+no imputation story and pretending otherwise would poison the estimators
+downstream.
 """
 
 from __future__ import annotations
@@ -246,6 +247,13 @@ def load_table(path, schema: TableSchema, delimiter: str = ";") -> DataTable:
                         f"{path}: line {lines[i]}, column {name!r}: "
                         f"cannot parse {cell!r} as a number"
                     ) from None
+            bad = np.flatnonzero(~np.isfinite(values))
+            if bad.size:
+                i = int(bad[0])
+                raise DataError(
+                    f"{path}: line {lines[i]}, column {name!r}: "
+                    f"{cells[i]!r} is not a finite number"
+                )
             columns[name] = values
         else:
             lvls = tuple(sorted(set(cells)))

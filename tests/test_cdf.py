@@ -2,12 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pocause import (
+    DataTable,
     EmpiricalCdf,
     LogisticCdf,
     NoSupportError,
     SeparationError,
+    TableSchema,
+    Variable,
     fit_logistic,
     lexicographic_default,
 )
@@ -89,6 +94,59 @@ def test_empirical_off_support_stratum(small_table):
     assert "np.float64" not in str(excinfo.value)
 
 
+def test_empirical_negative_zero_finds_zero_stratum(small_table):
+    est = EmpiricalCdf(small_table)
+    assert est.rho_pair((3.0,), (-0.0,), (0.0,)) == est.rho_pair((3.0,), (0.0,), (0.0,))
+
+
+@st.composite
+def _stratified_tables(draw):
+    """Small tables whose treatment and covariate columns each take 1-3
+    distinct values, -0.0 among the candidates, plus a point to look up."""
+    n_x = draw(st.integers(1, 2))
+    n_c = draw(st.integers(0, 2))
+    n = draw(st.integers(1, 30))
+    cells = st.sampled_from([-0.0, 0.0, 1.0, 2.5])
+    columns = {"y": np.array(draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)), float)}
+    for name in [f"x{j}" for j in range(n_x)] + [f"c{j}" for j in range(n_c)]:
+        support = draw(st.lists(cells, min_size=1, max_size=3))
+        columns[name] = np.array(draw(st.lists(st.sampled_from(support), min_size=n, max_size=n)))
+    point = draw(st.lists(cells, min_size=n_x + n_c, max_size=n_x + n_c))
+    threshold = float(draw(st.integers(0, 5)))
+    return n_x, columns, point, threshold
+
+
+def _check_against_mask(est, columns, names, n_x, point, threshold):
+    mask = np.ones(columns["y"].shape[0], dtype=bool)
+    for name, value in zip(names, point):
+        mask &= columns[name] == value
+    x, c = point[:n_x], point[n_x:]
+    if not mask.any():
+        with pytest.raises(NoSupportError):
+            est.rho_pair((threshold,), x, c)
+        return
+    pair = est.rho_pair((threshold,), x, c)
+    y = columns["y"][mask]
+    assert pair.strict == float((y < threshold).mean())
+    assert pair.weak == float((y <= threshold).mean())
+    assert pair.strict <= pair.weak
+
+
+@settings(max_examples=200, deadline=None)
+@given(_stratified_tables())
+def test_empirical_rho_pair_matches_brute_force_counts(case):
+    n_x, columns, point, threshold = case
+    names = [name for name in columns if name != "y"]
+    schema = TableSchema(
+        (Variable("y", "outcome", position=0),)
+        + tuple(Variable(name, "treatment" if name[0] == "x" else "covariate") for name in names)
+    )
+    est = EmpiricalCdf(DataTable(schema, columns))
+    present = {tuple(row) for row in np.column_stack([columns[n] for n in names]).tolist()}
+    for row in sorted(present) + [point]:
+        _check_against_mask(est, columns, names, n_x, list(row), threshold)
+
+
 def test_logistic_constant_labels_bypass_the_solver(small_table):
     est = LogisticCdf(small_table)
     # Every outcome is weakly below 9, none strictly below 1.
@@ -107,8 +165,6 @@ def test_logistic_clips_strict_to_weak(small_table):
 def test_logistic_separation_fallback_is_recorded():
     """A treatment column that perfectly splits the labels trips the exact
     solver; the estimator retries with a tiny ridge and says so."""
-    from pocause import DataTable, TableSchema, Variable
-
     schema = TableSchema(
         (Variable("y", "outcome", position=0), Variable("x", "treatment"))
     )

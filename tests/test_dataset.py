@@ -59,6 +59,17 @@ def test_non_numeric_cell_in_numeric_column(scalar_schema, write_csv):
         load_table(path, scalar_schema)
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_non_finite_cell_reports_file_line_and_column(scalar_schema, write_csv, cell):
+    path = write_csv(f"y;x;c\n1;0;0\n2;1;1\n3;0;{cell}\n")
+    with pytest.raises(DataError) as excinfo:
+        load_table(path, scalar_schema)
+    message = str(excinfo.value)
+    assert "line 4" in message
+    assert "'c'" in message
+    assert repr(cell) in message
+
+
 def test_headerless_file_is_rejected(scalar_schema, write_csv):
     path = write_csv("1;0;0\n2;1;1\n")
     with pytest.raises(SchemaError):
