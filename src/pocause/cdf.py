@@ -12,6 +12,11 @@ logistic one fits a binary regression of each threshold indicator on the
 raw treatment and covariate columns (main effects, no interactions) and
 evaluates it at (x, c); it extrapolates, the empirical one refuses to.
 
+Both answer in batches: rho_pair(threshold, points) takes a (k, n_x + n_c)
+array of (x, c) rows and returns the strict and weak values as two float
+arrays of length k, with strict <= weak elementwise. A point's values are
+the same whatever else is in the batch.
+
 The logistic solver is iteratively reweighted least squares written here on
 purpose: its convergence rule, ridge behavior, and failure modes are part
 of this package's contract, and an external GLM would make the bootstrap's
@@ -25,25 +30,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import DataTable, binarize_outcome
+from .dataset import DataTable
 from .errors import ConfigError, NoSupportError, SeparationError, SingularError
-from .ordering import OrderSpec, lexicographic_default
+from .ordering import OrderSpec, indicator_below, lexicographic_default
 
 RIDGE_FALLBACK = 1e-6
-
-
-@dataclass(frozen=True)
-class RhoPair:
-    """Strict and weak below-threshold probabilities at one (y, x, c).
-
-    strict <= weak always holds on the way out; if an estimator produced
-    the reverse (possible when the two logistic fits disagree), strict is
-    pulled down to weak and clipped is set.
-    """
-
-    strict: float
-    weak: float
-    clipped: bool = False
+IRLS_TOL = 1e-8
+IRLS_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -60,7 +53,10 @@ class LogisticModel:
             raise ConfigError(
                 f"model has {self.coefficients.shape[0]} features, got {f.shape[1]}"
             )
-        return _sigmoid(self.intercept + f @ self.coefficients)
+        # One (1, p) @ (p,) product per row, the same BLAS dot a one-row
+        # call makes, so a row's probability does not depend on the batch
+        # (a (k, p) @ (p,) product can differ from it in the last bit).
+        return _sigmoid(self.intercept + (f[:, None, :] @ self.coefficients)[:, 0])
 
 
 def _sigmoid(eta: np.ndarray) -> np.ndarray:
@@ -77,8 +73,8 @@ def fit_logistic(
     labels,
     *,
     ridge: float = 0.0,
-    tol: float = 1e-8,
-    max_iter: int = 100,
+    tol: float = IRLS_TOL,
+    max_iter: int = IRLS_MAX_ITER,
 ) -> LogisticModel:
     """Newton / IRLS fit of a binary logistic regression.
 
@@ -163,7 +159,51 @@ def fit_logistic(
     )
 
 
-class EmpiricalCdf:
+
+
+class _ThresholdCdf:
+    """What both estimators share: the (x, c) columns, the outcome order,
+    the check on query points, and one fitted state per threshold, built
+    from that threshold's indicator columns the first time it is asked for.
+    """
+
+    def __init__(self, table: DataTable, order: OrderSpec | None):
+        self.table = table
+        y = table.outcomes()
+        if y.shape[1] == 0:
+            raise ConfigError("table has no outcome columns")
+        self.order = order if order is not None else lexicographic_default(y.shape[1])
+        self._n_x = table.treatments().shape[1]
+        self._n_c = table.covariates().shape[1]
+        self._xc = np.hstack([table.treatments(), table.covariates()])
+        if self._xc.shape[1] == 0:
+            raise ConfigError("table has neither treatment nor covariate columns")
+        self._by_threshold: dict[bytes, tuple] = {}
+        self.clip_count = 0
+        self.diagnostics: list[str] = []
+
+    def _points(self, points) -> np.ndarray:
+        pts = np.asarray(points, dtype=float)
+        if pts.ndim != 2 or pts.shape[1] != self._n_x + self._n_c:
+            raise ConfigError(
+                f"expected points of {self._n_x} treatment and {self._n_c} covariate "
+                f"values each, got an array of shape {pts.shape}"
+            )
+        return pts
+
+    def _fitted(self, threshold) -> tuple:
+        key = np.asarray(threshold, dtype=float).tobytes()
+        if key not in self._by_threshold:
+            strict, weak = indicator_below(self.table.outcomes(), threshold, self.order)
+            self._by_threshold[key] = self._fit(threshold, strict, weak)
+        return self._by_threshold[key]
+
+    def _fit(self, threshold, strict, weak) -> tuple:
+        """What rho_pair keeps per threshold: here the indicator columns."""
+        return strict, weak
+
+
+class EmpiricalCdf(_ThresholdCdf):
     """Conditional CDF by exact (x, c) stratum counting.
 
     The stratum index comes from one stable sort of the (x, c) rows: each
@@ -174,16 +214,8 @@ class EmpiricalCdf:
     """
 
     def __init__(self, table: DataTable, order: OrderSpec | None = None):
-        self.table = table
-        y = table.outcomes()
-        if y.shape[1] == 0:
-            raise ConfigError("table has no outcome columns")
-        self.order = order if order is not None else lexicographic_default(y.shape[1])
-        xc = np.hstack([table.treatments(), table.covariates()])
-        self._n_x = table.treatments().shape[1]
-        self._n_c = table.covariates().shape[1]
-        if xc.shape[1] == 0:
-            raise ConfigError("table has neither treatment nor covariate columns")
+        super().__init__(table, order)
+        xc = self._xc
         rows = np.lexsort(xc.T)
         ordered = xc[rows]
         starts = np.zeros(xc.shape[0], dtype=bool)
@@ -196,77 +228,40 @@ class EmpiricalCdf:
             tuple(key): rows[a:b]
             for key, a, b in zip(ordered[first].tolist(), first.tolist(), ends.tolist())
         }
-        self._indicators: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
-        self.clip_count = 0
-        self.diagnostics: list[str] = []
 
-    def _point(self, x, c) -> np.ndarray:
-        x = np.asarray(x, dtype=float).ravel()
-        c = np.asarray(c, dtype=float).ravel()
-        if x.size != self._n_x or c.size != self._n_c:
-            raise ConfigError(
-                f"expected {self._n_x} treatment and {self._n_c} covariate values, "
-                f"got {x.size} and {c.size}"
-            )
-        return np.concatenate([x, c])
-
-    def _thresh_indicators(self, threshold) -> tuple[np.ndarray, np.ndarray]:
-        key = np.asarray(threshold, dtype=float).tobytes()
-        if key not in self._indicators:
-            self._indicators[key] = binarize_outcome(self.table, threshold, self.order)
-        return self._indicators[key]
-
-    def rho_pair(self, threshold, x, c) -> RhoPair:
-        point = self._point(x, c)
-        idx = self._strata.get(tuple(point.tolist()))
-        if idx is None:
-            raise NoSupportError(
-                f"no observations with treatment {point[: self._n_x].tolist()} "
-                f"and covariates {point[self._n_x:].tolist()}"
-            )
-        strict, weak = self._thresh_indicators(threshold)
-        return RhoPair(
-            strict=float(strict[idx].mean()),
-            weak=float(weak[idx].mean()),
-            clipped=False,
-        )
+    def rho_pair(self, threshold, points) -> tuple[np.ndarray, np.ndarray]:
+        strata = []
+        for point in self._points(points).tolist():
+            idx = self._strata.get(tuple(point))
+            if idx is None:
+                raise NoSupportError(
+                    f"no observations with treatment {point[: self._n_x]} "
+                    f"and covariates {point[self._n_x:]}"
+                )
+            strata.append(idx)
+        strict, weak = self._fitted(threshold)
+        # Exact integer counts, so count / size is what a boolean mean gives.
+        counts = np.array(
+            [(np.count_nonzero(strict[idx]), np.count_nonzero(weak[idx]), idx.size) for idx in strata],
+            dtype=float,
+        ).reshape(-1, 3)
+        return counts[:, 0] / counts[:, 2], counts[:, 1] / counts[:, 2]
 
 
-class LogisticCdf:
+class LogisticCdf(_ThresholdCdf):
     """Conditional CDF via one pair of logistic fits per threshold.
 
-    Models are fitted lazily the first time a threshold is requested and
-    cached. Constant indicator columns (threshold outside the observed
-    outcome range) short-circuit to the exact probability 0 or 1 with a
-    diagnostic; a separation failure is retried once with a small ridge,
-    also with a diagnostic.
+    Constant indicator columns (threshold outside the observed outcome
+    range) short-circuit to the exact probability 0 or 1 with a diagnostic;
+    a separation failure is retried once with a small ridge, and a fit that
+    stops without converging is used as is; both leave a diagnostic too.
+    Where the two fits put strict above weak, strict is pulled down to weak
+    and clip_count counts the point.
     """
 
-    def __init__(
-        self,
-        table: DataTable,
-        order: OrderSpec | None = None,
-        *,
-        ridge: float = 0.0,
-        tol: float = 1e-8,
-        max_iter: int = 100,
-    ):
-        self.table = table
-        y = table.outcomes()
-        if y.shape[1] == 0:
-            raise ConfigError("table has no outcome columns")
-        self.order = order if order is not None else lexicographic_default(y.shape[1])
-        self._features = np.hstack([table.treatments(), table.covariates()])
-        self._n_x = table.treatments().shape[1]
-        self._n_c = table.covariates().shape[1]
-        if self._features.shape[1] == 0:
-            raise ConfigError("table has neither treatment nor covariate columns")
+    def __init__(self, table: DataTable, order: OrderSpec | None = None, *, ridge: float = 0.0):
+        super().__init__(table, order)
         self.ridge = float(ridge)
-        self.tol = float(tol)
-        self.max_iter = int(max_iter)
-        self._models: dict[bytes, tuple] = {}
-        self.clip_count = 0
-        self.diagnostics: list[str] = []
 
     def _fit_side(self, labels: np.ndarray, what: str):
         rate = float(labels.mean())
@@ -276,58 +271,37 @@ class LogisticCdf:
             )
             return rate
         try:
-            return fit_logistic(
-                self._features,
-                labels,
-                ridge=self.ridge,
-                tol=self.tol,
-                max_iter=self.max_iter,
+            model = fit_logistic(
+                self._xc, labels, ridge=self.ridge, tol=IRLS_TOL, max_iter=IRLS_MAX_ITER
             )
         except SeparationError:
             fallback = max(self.ridge, RIDGE_FALLBACK)
             self.diagnostics.append(
                 f"{what}: separation; refitted with ridge {fallback:g}"
             )
-            return fit_logistic(
-                self._features,
-                labels,
-                ridge=fallback,
-                tol=self.tol,
-                max_iter=self.max_iter,
+            model = fit_logistic(
+                self._xc, labels, ridge=fallback, tol=IRLS_TOL, max_iter=IRLS_MAX_ITER
             )
-
-    def _models_for(self, threshold) -> tuple:
-        key = np.asarray(threshold, dtype=float).tobytes()
-        if key not in self._models:
-            strict, weak = binarize_outcome(self.table, threshold, self.order)
-            label = np.asarray(threshold, dtype=float).tolist()
-            self._models[key] = (
-                self._fit_side(strict.astype(float), f"strict indicator at {label}"),
-                self._fit_side(weak.astype(float), f"weak indicator at {label}"),
+        if not model.converged:
+            self.diagnostics.append(
+                f"{what}: IRLS stopped unconverged after {model.n_iter} "
+                "iteration(s); using the last iterate"
             )
-        return self._models[key]
+        return model
 
-    def _predict(self, model, point: np.ndarray) -> float:
-        if isinstance(model, float):
-            return model
-        return float(model.predict_proba(point.reshape(1, -1))[0])
+    def _fit(self, threshold, strict, weak) -> tuple:
+        label = np.asarray(threshold, dtype=float).tolist()
+        return (
+            self._fit_side(strict.astype(float), f"strict indicator at {label}"),
+            self._fit_side(weak.astype(float), f"weak indicator at {label}"),
+        )
 
-    def rho_pair(self, threshold, x, c) -> RhoPair:
-        x = np.asarray(x, dtype=float).ravel()
-        c = np.asarray(c, dtype=float).ravel()
-        if x.size != self._n_x or c.size != self._n_c:
-            raise ConfigError(
-                f"expected {self._n_x} treatment and {self._n_c} covariate values, "
-                f"got {x.size} and {c.size}"
-            )
-        point = np.concatenate([x, c])
-        strict_model, weak_model = self._models_for(threshold)
-        strict = self._predict(strict_model, point)
-        weak = self._predict(weak_model, point)
-        clipped = False
-        if strict > weak:
-            strict = weak
-            clipped = True
-            self.clip_count += 1
-        return RhoPair(strict=strict, weak=weak, clipped=clipped)
-
+    def rho_pair(self, threshold, points) -> tuple[np.ndarray, np.ndarray]:
+        pts = self._points(points)
+        strict, weak = (
+            np.full(pts.shape[0], model) if isinstance(model, float) else model.predict_proba(pts)
+            for model in self._fitted(threshold)
+        )
+        clipped = strict > weak
+        self.clip_count += int(np.count_nonzero(clipped))
+        return np.where(clipped, weak, strict), weak

@@ -192,6 +192,17 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _trajectory_grid(spec, size: int) -> np.ndarray:
+    """Treatments to trace the latent curves over: a tabular model's own
+    levels in lexicographic order, otherwise size points spanning the
+    policy support."""
+    if isinstance(spec.mean, TabularMean):
+        levels = spec.mean.x_levels
+        return levels[np.lexsort(tuple(levels[:, j] for j in range(levels.shape[1] - 1, -1, -1)))]
+    sup = spec.policy.support
+    return np.linspace(sup.min(axis=0), sup.max(axis=0), size)
+
+
 def _check_row(checks, name: str, status: str, observed, band, detail: str) -> None:
     checks.append(
         {
@@ -222,8 +233,8 @@ def _cmd_validate(args) -> int:
     y_mid = thresholds[len(thresholds) // 2]
     checks: list[dict] = []
 
-    def estimate(kind, ts, xs, evidence=None):
-        query = PoCQuery(
+    def query(kind, ts, xs, evidence=None):
+        return PoCQuery(
             kind=kind,
             thresholds=tuple(ts),
             treatments=tuple(xs),
@@ -231,7 +242,9 @@ def _cmd_validate(args) -> int:
             evidence=evidence,
             order=spec.order,
         )
-        return evaluate_query(table, query, config)
+
+    def estimate(kind, ts, xs, evidence=None):
+        return evaluate_query(table, query(kind, ts, xs, evidence), config)
 
     # Identification: formula on simulated data against the shared-latent
     # oracle. Under a broken monotonicity assumption these are expected to
@@ -303,11 +316,7 @@ def _cmd_validate(args) -> int:
         )
 
     # Trajectory crossings.
-    if isinstance(spec.mean, TabularMean):
-        levels = spec.mean.x_levels
-        grid = levels[np.lexsort(tuple(levels[:, j] for j in range(levels.shape[1] - 1, -1, -1)))]
-    else:
-        grid = np.linspace(sup.min(axis=0), sup.max(axis=0), args.grid)
+    grid = _trajectory_grid(spec, args.grid)
     traj = export_trajectories(spec, grid, c=c if c else None, n_u=args.n_u, seed=seed)
     if nonmono:
         status = "pass" if traj.crossing_count > 0 else "fail"
@@ -327,26 +336,15 @@ def _cmd_validate(args) -> int:
             if isinstance(spec.mean, TabularMean):
                 probs = spec.mean.state_probs(x0, c)
                 y_ev = tuple(spec.mean.levels[int(np.argmax(probs))])
-                evidence = Evidence(y=y_ev, x=x0)
-                est = estimate("pns_evidence", [y_mid], [x0, x1], evidence)
+                q_ev = query("pns_evidence", [y_mid], [x0, x1], Evidence(y=y_ev, x=x0))
+                est = evaluate_query(table, q_ev, config)
                 orc = oracle_evidence(
                     spec, [y_mid], [x0, x1], y_ev, x0, c,
                     n_mc=args.n_mc, seed=seed, atom_tol=config.atom_tol,
                 )
                 boot = bootstrap(
                     table,
-                    lambda t: evaluate_query(
-                        t,
-                        PoCQuery(
-                            kind="pns_evidence",
-                            thresholds=(y_mid,),
-                            treatments=(x0, x1),
-                            covariates=c if c else None,
-                            evidence=evidence,
-                            order=spec.order,
-                        ),
-                        config,
-                    ).value,
+                    lambda t: evaluate_query(t, q_ev, config).value,
                     n_boot=200,
                     seed=seed,
                 )
@@ -456,13 +454,7 @@ def _cmd_validate(args) -> int:
 def _cmd_trajectories(args) -> int:
     seed = _resolve_seed(args.seed)
     spec = _resolve_spec(args.spec)
-    if isinstance(spec.mean, TabularMean):
-        levels = spec.mean.x_levels
-        grid = levels[np.lexsort(tuple(levels[:, j] for j in range(levels.shape[1] - 1, -1, -1)))]
-    else:
-        sup = spec.policy.support
-        grid = np.linspace(sup.min(axis=0), sup.max(axis=0), args.grid)
-    traj = export_trajectories(spec, grid, n_u=args.n_u, seed=seed)
+    traj = export_trajectories(spec, _trajectory_grid(spec, args.grid), n_u=args.n_u, seed=seed)
 
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, delimiter=";")

@@ -281,12 +281,3 @@ def save_table(table: DataTable, path, delimiter: str = ";") -> None:
                     row.append(repr(float(v)))
             writer.writerow(row)
 
-
-def binarize_outcome(table: DataTable, threshold, order) -> tuple[np.ndarray, np.ndarray]:
-    """Strict and weak below-threshold indicator columns for the outcomes."""
-    from .ordering import indicator_below
-
-    y = table.outcomes()
-    if y.shape[1] == 0:
-        raise SchemaError("table has no outcome columns to binarize")
-    return indicator_below(y, threshold, order)

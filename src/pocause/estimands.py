@@ -16,10 +16,10 @@ covariates c:
 * marginal: pns averaged over the empirical covariate distribution.
 
 Everything is computed from conditional CDF values at the thresholds (the
-RhoPair numbers), which is what makes these identifiable from observational
-data in the first place: under conditional exogeneity plus a monotone
-structural response, the joint law of the counterfactuals collapses onto
-those CDFs. The formulas here are exact under those assumptions; checking
+strict/weak pairs that the cdf estimators' rho_pair returns), which is what
+makes these identifiable from observational data in the first place: under
+conditional exogeneity plus a monotone structural response, the joint law
+of the counterfactuals collapses onto those CDFs. The formulas here are exact under those assumptions; checking
 the assumptions is the job of the scm module's oracles.
 """
 
@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cdf import EmpiricalCdf, LogisticCdf, RhoPair
+from .cdf import EmpiricalCdf, LogisticCdf
 from .dataset import DataTable
 from .errors import ConfigError, NotIdentifiedError
 from .ordering import OrderSpec, lexicographic_default, order_from_dict
@@ -265,6 +265,9 @@ class PoCQuery:
                     f"a chain with {p} thresholds needs {p + 1} treatments, "
                     f"got {len(self.treatments)}"
                 )
+        arms = list(self.treatments) + ([self.evidence.x] if self.evidence is not None else [])
+        if len({len(x) for x in arms}) > 1:
+            raise ConfigError("every treatment vector, evidence x included, needs the same length")
         if (self.evidence is None) == (self.kind in _EVIDENCE_KINDS):
             need = "requires" if self.kind in _EVIDENCE_KINDS else "does not take"
             raise ConfigError(f"{self.kind} {need} an evidence block")
@@ -428,26 +431,36 @@ def _resolve_covariates(table: DataTable, query: PoCQuery) -> tuple[float, ...]:
     return cov
 
 
-def _gather(estimator, query: PoCQuery, c) -> tuple[dict[str, RhoPair], list[str]]:
-    """Pull every CDF pair the query needs, named for the report."""
-    pairs: dict[str, RhoPair] = {}
-    if query.kind in _SINGLE_KINDS:
-        y = query.thresholds[0]
-        pairs["rho_y_x0"] = estimator.rho_pair(y, query.treatments[0], c)
-        pairs["rho_y_x1"] = estimator.rho_pair(y, query.treatments[1], c)
-    else:
-        for p, y in enumerate(query.thresholds, start=1):
-            pairs[f"rho_y{p}_x{p - 1}"] = estimator.rho_pair(
-                y, query.treatments[p - 1], c
-            )
-            pairs[f"rho_y{p}_x{p}"] = estimator.rho_pair(y, query.treatments[p], c)
+def _gather(estimator, query: PoCQuery, profiles: np.ndarray):
+    """Pull every CDF value the query needs at each covariate profile.
+
+    Every kind but the marginal one is a chain: pns, pn, ps and
+    pns_evidence are chains of length 1. Step p asks for threshold y_p at
+    (x_{p-1}, c) and (x_p, c) for each profile c in turn, in one call.
+    Returns upper and lower, (P, m) arrays of strict CDF values under
+    x_{p-1} and x_p; the evidence (strict, weak) pair at each profile, or
+    None; and the estimator's diagnostics.
+    """
+    m = profiles.shape[0]
+
+    def points(*xs):
+        return np.hstack([np.tile(np.asarray(xs, dtype=float), (m, 1)),
+                          np.repeat(profiles, len(xs), axis=0)])
+
+    upper, lower = [], []
+    for p, y in enumerate(query.thresholds, start=1):
+        strict, _ = estimator.rho_pair(y, points(query.treatments[p - 1], query.treatments[p]))
+        upper.append(strict[0::2])
+        lower.append(strict[1::2])
+    evidence = None
     if query.evidence is not None:
-        pairs["rho_ev"] = estimator.rho_pair(query.evidence.y, query.evidence.x, c)
-    notes = list(getattr(estimator, "diagnostics", ()))
-    clips = getattr(estimator, "clip_count", 0)
-    if clips:
-        notes.append(f"strict/weak CDF order violated and clipped {clips} time(s)")
-    return pairs, notes
+        evidence = estimator.rho_pair(query.evidence.y, points(query.evidence.x))
+    notes = list(estimator.diagnostics)
+    if estimator.clip_count:
+        notes.append(
+            f"strict/weak CDF order violated and clipped {estimator.clip_count} time(s)"
+        )
+    return np.array(upper), np.array(lower), evidence, notes
 
 
 def evaluate_query(
@@ -467,64 +480,31 @@ def evaluate_query(
 
     c = _resolve_covariates(table, query)
     estimator = build_estimator(table, order, config)
-    pairs, notes = _gather(estimator, query, c)
-    components = {name: pair.strict for name, pair in pairs.items()}
+    upper, lower, evidence, notes = _gather(
+        estimator, query, np.array(c, dtype=float).reshape(1, -1)
+    )
+    up, lo = upper[:, 0].tolist(), lower[:, 0].tolist()
+    if query.kind in _SINGLE_KINDS:
+        components = {"rho_y_x0": up[0], "rho_y_x1": lo[0]}
+    else:
+        components = {}
+        for p, (u, low) in enumerate(zip(up, lo), start=1):
+            components[f"rho_y{p}_x{p - 1}"] = u
+            components[f"rho_y{p}_x{p}"] = low
 
-    if query.kind in ("pns", "pn", "ps"):
-        r0 = pairs["rho_y_x0"].strict
-        r1 = pairs["rho_y_x1"].strict
-        fn = {"pns": pns_point, "pn": pn_point, "ps": ps_point}[query.kind]
-        value = fn(r0, r1)
-        return PoCEstimate(
-            value=value,
-            kind=query.kind,
-            case="closed_form",
-            clamped_at_zero=bool(r0 - r1 < 0),
-            components=components,
-            diagnostics=tuple(notes),
-        )
-
-    if query.kind == "pns_evidence":
-        ev = pairs["rho_ev"]
-        components["rho_ev_weak"] = ev.weak
-        value, case = pns_evidence_point(
-            pairs["rho_y_x0"].strict,
-            pairs["rho_y_x1"].strict,
-            ev.strict,
-            ev.weak,
-            atom_tol=config.atom_tol,
+    if evidence is None:
+        point = {"pn": pn_point, "ps": ps_point}.get(query.kind)
+        value = point(up[0], lo[0]) if point else pns_multi_point(up, lo)
+        case = "closed_form"
+        clamped = min(up) - max(lo) < 0
+    else:
+        ev_strict, ev_weak = float(evidence[0][0]), float(evidence[1][0])
+        components["rho_ev"] = ev_strict
+        components["rho_ev_weak"] = ev_weak
+        value, case = pns_multi_evidence_point(
+            up, lo, ev_strict, ev_weak, atom_tol=config.atom_tol
         )
         clamped = case == "evidence_case_a" and value == 0.0
-        return PoCEstimate(
-            value=value,
-            kind=query.kind,
-            case=case,
-            clamped_at_zero=clamped,
-            components=components,
-            diagnostics=tuple(notes),
-        )
-
-    p_count = len(query.thresholds)
-    upper = [pairs[f"rho_y{p}_x{p - 1}"].strict for p in range(1, p_count + 1)]
-    lower = [pairs[f"rho_y{p}_x{p}"].strict for p in range(1, p_count + 1)]
-
-    if query.kind == "pns_multi":
-        value = pns_multi_point(upper, lower)
-        return PoCEstimate(
-            value=value,
-            kind=query.kind,
-            case="closed_form",
-            clamped_at_zero=bool(min(upper) - max(lower) < 0),
-            components=components,
-            diagnostics=tuple(notes),
-        )
-
-    ev = pairs["rho_ev"]
-    components["rho_ev_weak"] = ev.weak
-    value, case = pns_multi_evidence_point(
-        upper, lower, ev.strict, ev.weak, atom_tol=config.atom_tol
-    )
-    clamped = case == "evidence_case_a" and value == 0.0
     return PoCEstimate(
         value=value,
         kind=query.kind,
@@ -552,33 +532,23 @@ def marginal_pns(
     n_outcomes = len(table.schema.outcome_names)
     order = query.order if query.order is not None else lexicographic_default(n_outcomes)
     estimator = build_estimator(table, order, config)
-    y = query.thresholds[0]
-    x0, x1 = query.treatments
 
     cov = table.covariates()
     if cov.shape[1] == 0:
-        profiles = [()]
+        profiles = np.empty((1, 0))
         weights = np.array([1.0])
     else:
-        uniq, counts = np.unique(cov, axis=0, return_counts=True)
-        profiles = [tuple(row) for row in uniq]
+        profiles, counts = np.unique(cov, axis=0, return_counts=True)
         weights = counts / counts.sum()
 
-    total = 0.0
-    clamped_profiles = 0
-    for profile, w in zip(profiles, weights):
-        r0 = estimator.rho_pair(y, x0, profile).strict
-        r1 = estimator.rho_pair(y, x1, profile).strict
-        if r0 - r1 < 0:
-            clamped_profiles += 1
-        total += w * pns_point(r0, r1)
-
-    notes = list(getattr(estimator, "diagnostics", ()))
-    clips = getattr(estimator, "clip_count", 0)
-    if clips:
-        notes.append(f"strict/weak CDF order violated and clipped {clips} time(s)")
+    upper, lower, _, notes = _gather(estimator, query, profiles)
+    gap = upper[0] - lower[0]
+    clamped_profiles = int(np.count_nonzero(gap < 0))
+    # Summed left to right, profile by profile: np.sum would pair terms up
+    # and can differ in the last bit.
+    total = float(np.cumsum(weights * np.maximum(gap, 0.0))[-1])
     return PoCEstimate(
-        value=float(total),
+        value=total,
         kind="marginal_pns",
         case="closed_form",
         clamped_at_zero=clamped_profiles == len(profiles),

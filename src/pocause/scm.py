@@ -388,20 +388,18 @@ class TreatmentPolicy:
 
     def sample(self, C: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """One support row per data row; one uniform per row, in row order."""
-        n = C.shape[0]
-        u = rng.random(n)
-        idx = np.empty(n, dtype=int)
+        u = rng.random(C.shape[0])
         if C.shape[1] == 0 or self.covariate_logits is None:
-            cum = np.cumsum(self.probabilities(np.zeros(C.shape[1])))
-            idx[:] = np.minimum(np.searchsorted(cum, u, side="right"), self.n_levels - 1)
+            profiles, inv = np.zeros((1, C.shape[1])), 0
         else:
-            uniq, inv = np.unique(C, axis=0, return_inverse=True)
-            for k, row in enumerate(uniq):
-                mask = inv == k
-                cum = np.cumsum(self.probabilities(row))
-                idx[mask] = np.minimum(
-                    np.searchsorted(cum, u[mask], side="right"), self.n_levels - 1
-                )
+            profiles, inv = np.unique(C, axis=0, return_inverse=True)
+        cum = np.array([np.cumsum(self.probabilities(c)) for c in profiles])
+        # A row's level is the number of its profile's cumulative
+        # probabilities at or below u, capped at the last level; counting
+        # over all levels but the last applies the cap.
+        idx = np.zeros(C.shape[0], dtype=np.intp)
+        for level in range(self.n_levels - 1):
+            idx += cum[inv, level] <= u
         return self.support[idx]
 
     def as_dict(self) -> dict:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pocause import cdf
 from pocause import (
     DataTable,
     EmpiricalCdf,
@@ -79,24 +80,26 @@ def test_ridge_shrinks_slopes_not_intercept():
 
 def test_empirical_rho_matches_hand_counts(small_table):
     est = EmpiricalCdf(small_table)
-    pair = est.rho_pair((3.0,), (0.0,), (1.0,))
+    strict, weak = est.rho_pair((3.0,), [(0.0, 1.0)])
     # Cell outcomes are 1,2,3,4: strictly below 3 is 2 of 4, weakly 3 of 4.
-    assert pair.strict == 0.5
-    assert pair.weak == 0.75
-    assert not pair.clipped
+    assert strict[0] == 0.5
+    assert weak[0] == 0.75
+    assert est.clip_count == 0
 
 
 def test_empirical_off_support_stratum(small_table):
     est = EmpiricalCdf(small_table)
     with pytest.raises(NoSupportError) as excinfo:
-        est.rho_pair((3.0,), (99.0,), (0.0,))
+        est.rho_pair((3.0,), [(99.0, 0.0)])
     assert "99.0" in str(excinfo.value)
     assert "np.float64" not in str(excinfo.value)
 
 
 def test_empirical_negative_zero_finds_zero_stratum(small_table):
     est = EmpiricalCdf(small_table)
-    assert est.rho_pair((3.0,), (-0.0,), (0.0,)) == est.rho_pair((3.0,), (0.0,), (0.0,))
+    np.testing.assert_array_equal(
+        est.rho_pair((3.0,), [(-0.0, 0.0)]), est.rho_pair((3.0,), [(0.0, 0.0)])
+    )
 
 
 @st.composite
@@ -116,20 +119,19 @@ def _stratified_tables(draw):
     return n_x, columns, point, threshold
 
 
-def _check_against_mask(est, columns, names, n_x, point, threshold):
+def _check_against_mask(est, columns, names, point, threshold):
     mask = np.ones(columns["y"].shape[0], dtype=bool)
     for name, value in zip(names, point):
         mask &= columns[name] == value
-    x, c = point[:n_x], point[n_x:]
     if not mask.any():
         with pytest.raises(NoSupportError):
-            est.rho_pair((threshold,), x, c)
+            est.rho_pair((threshold,), [point])
         return
-    pair = est.rho_pair((threshold,), x, c)
+    (strict,), (weak,) = est.rho_pair((threshold,), [point])
     y = columns["y"][mask]
-    assert pair.strict == float((y < threshold).mean())
-    assert pair.weak == float((y <= threshold).mean())
-    assert pair.strict <= pair.weak
+    assert strict == float((y < threshold).mean())
+    assert weak == float((y <= threshold).mean())
+    assert strict <= weak
 
 
 @settings(max_examples=200, deadline=None)
@@ -144,22 +146,60 @@ def test_empirical_rho_pair_matches_brute_force_counts(case):
     est = EmpiricalCdf(DataTable(schema, columns))
     present = {tuple(row) for row in np.column_stack([columns[n] for n in names]).tolist()}
     for row in sorted(present) + [point]:
-        _check_against_mask(est, columns, names, n_x, list(row), threshold)
+        _check_against_mask(est, columns, names, list(row), threshold)
+
+
+@st.composite
+def _batches(draw):
+    """A seeded table whose (x, c) columns take three values each, a
+    threshold at the outcome median, and 1-12 query rows."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    n_x, n_c = draw(st.integers(1, 2)), draw(st.integers(0, 2))
+    n, k = draw(st.integers(20, 80)), draw(st.integers(1, 12))
+    return seed, n_x, n_c, n, k
+
+
+@pytest.mark.parametrize("estimator", [EmpiricalCdf, LogisticCdf])
+@settings(max_examples=60, deadline=None)
+@given(_batches())
+def test_rho_pair_batch_equals_one_point_calls(estimator, case):
+    seed, n_x, n_c, n, k = case
+    rng = np.random.default_rng(seed)
+    names = [f"x{j}" for j in range(n_x)] + [f"c{j}" for j in range(n_c)]
+    xc = rng.integers(0, 3, size=(n, n_x + n_c)) * rng.normal(1.0, 0.5, size=n_x + n_c)
+    y = xc.sum(axis=1) + rng.normal(size=n)
+    schema = TableSchema(
+        (Variable("y", "outcome", position=0),)
+        + tuple(Variable(name, "treatment" if name[0] == "x" else "covariate") for name in names)
+    )
+    columns = {"y": y, **{name: xc[:, j] for j, name in enumerate(names)}}
+    est = estimator(DataTable(schema, columns))
+    if estimator is EmpiricalCdf:
+        points = xc[rng.integers(0, n, size=k)]
+    else:
+        points = rng.normal(0.0, 2.0, size=(k, n_x + n_c))
+    threshold = (float(np.median(y)),)
+    strict, weak = est.rho_pair(threshold, points)
+    singles = [est.rho_pair(threshold, point[None, :]) for point in points]
+    np.testing.assert_array_equal(strict, [s[0] for s, _ in singles])
+    np.testing.assert_array_equal(weak, [w[0] for _, w in singles])
+    assert strict.shape == weak.shape == (k,)
+    assert np.all((0.0 <= strict) & (strict <= weak) & (weak <= 1.0))
 
 
 def test_logistic_constant_labels_bypass_the_solver(small_table):
     est = LogisticCdf(small_table)
     # Every outcome is weakly below 9, none strictly below 1.
-    assert est.rho_pair((9.0,), (0.0,), (0.0,)).weak == 1.0
-    assert est.rho_pair((1.0,), (1.0,), (1.0,)).strict == 0.0
+    assert est.rho_pair((9.0,), [(0.0, 0.0)])[1][0] == 1.0
+    assert est.rho_pair((1.0,), [(1.0, 1.0)])[0][0] == 0.0
 
 
 def test_logistic_clips_strict_to_weak(small_table):
     est = LogisticCdf(small_table)
     for y in (2.0, 3.0, 4.0):
         for x in (0.0, 1.0):
-            pair = est.rho_pair((y,), (x,), (0.0,))
-            assert 0.0 <= pair.strict <= pair.weak <= 1.0
+            (strict,), (weak,) = est.rho_pair((y,), [(x, 0.0)])
+            assert 0.0 <= strict <= weak <= 1.0
 
 
 def test_logistic_separation_fallback_is_recorded():
@@ -172,11 +212,30 @@ def test_logistic_separation_fallback_is_recorded():
     y = np.where(x > 0, 5.0, 0.0)
     table = DataTable(schema, {"y": y, "x": x})
     est = LogisticCdf(table)
-    pair = est.rho_pair((2.0,), (0.0,), ())
-    assert 0.0 < pair.strict <= pair.weak < 1.0
+    (strict,), (weak,) = est.rho_pair((2.0,), [(0.0,)])
+    assert 0.0 < strict <= weak < 1.0
     notes = list(est.diagnostics)
     assert sum("ridge" in note for note in notes) == 2
     assert all("np.float64" not in note for note in notes)
+
+
+def test_logistic_non_convergence_is_recorded(monkeypatch):
+    """A fit cut short by the iteration cap is used, and the estimator says
+    which indicator it was and after how many iterations."""
+    monkeypatch.setattr(cdf, "IRLS_MAX_ITER", 1)
+    schema = TableSchema(
+        (Variable("y", "outcome", position=0), Variable("x", "treatment"))
+    )
+    x = np.repeat([0.0, 1.0, 2.0], 10)
+    y = np.tile(np.arange(10.0), 3) + 2.0 * x
+    est = LogisticCdf(DataTable(schema, {"y": y, "x": x}))
+    est.rho_pair((6.0,), [(1.0,)])
+    assert est.diagnostics == [
+        "strict indicator at [6.0]: IRLS stopped unconverged after 1 iteration(s); "
+        "using the last iterate",
+        "weak indicator at [6.0]: IRLS stopped unconverged after 1 iteration(s); "
+        "using the last iterate",
+    ]
 
 
 def test_order_defaults_to_first_component_ascending(small_table):

@@ -7,7 +7,7 @@ from pocause import (
     SchemaError,
     TableSchema,
     Variable,
-    binarize_outcome,
+    indicator_below,
     lexicographic_default,
     load_table,
     save_table,
@@ -129,7 +129,7 @@ def test_take_keeps_schema_and_levels(write_csv):
 
 
 def test_binarize_outcome_strict_and_weak(small_table):
-    strict, weak = binarize_outcome(small_table, (3.0,), lexicographic_default(1))
+    strict, weak = indicator_below(small_table.outcomes(), (3.0,), lexicographic_default(1))
     # Outcomes cycle 1,2,3,4: below 3 strictly in half the rows, weakly 3/4.
     assert strict.mean() == 0.5
     assert weak.mean() == 0.75

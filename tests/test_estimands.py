@@ -12,7 +12,10 @@ from pocause import (
     PoCQuery,
     binary_poc,
     evaluate_query,
+    build_estimator,
+    load_scm,
     marginal_pns,
+    packaged_spec_path,
     pn_point,
     pns_evidence_point,
     pns_multi_evidence_point,
@@ -21,6 +24,8 @@ from pocause import (
     ps_point,
     query_as_dict,
     query_from_dict,
+    scm_from_dict,
+    simulate,
 )
 
 EXACT = 1e-12
@@ -198,6 +203,17 @@ class TestQueryParsing:
                 treatments=((0.0,), (1.0,)),
             )
 
+    def test_treatment_vectors_share_one_length(self):
+        with pytest.raises(ConfigError, match="same length"):
+            PoCQuery(kind="pns", thresholds=((0.8,),), treatments=((0.0,), (1.0, 2.0)))
+        with pytest.raises(ConfigError, match="same length"):
+            PoCQuery(
+                kind="pns_evidence",
+                thresholds=((0.8,),),
+                treatments=((0.0,), (1.0,)),
+                evidence=Evidence(y=(0.5,), x=(1.0, 0.0)),
+            )
+
     def test_evidence_only_on_evidence_kinds(self):
         with pytest.raises(ConfigError):
             PoCQuery(
@@ -288,3 +304,53 @@ def test_marginal_averages_over_covariate_profiles(scalar_schema, write_csv):
     # Half the rows sit at each covariate value: 0.5 * 0.5 + 0.5 * 0.0.
     assert abs(est.value - 0.25) < EXACT
     assert est.components["n_profiles"] == 2
+
+
+@pytest.mark.parametrize("method", ["empirical", "logistic"])
+def test_single_threshold_kinds_equal_chains_of_length_one(method):
+    spec = load_scm(packaged_spec_path("lexi2"))
+    table = simulate(spec, 3000, seed=12)
+    config = EstimatorConfig(method=method)
+    observed = tuple(table.outcomes()[0].tolist())
+    for arms in (((0.0,), (1.0,)), ((1.0,), (0.0,))):
+        for evidence in (None, Evidence(y=observed, x=(0.0,)), Evidence(y=(0.1, 0.2), x=(1.0,))):
+            fields = dict(thresholds=((0.3, 0.0),), treatments=arms, covariates=(1.0,),
+                          evidence=evidence, order=spec.order)
+            kinds = ("pns", "pns_multi") if evidence is None else ("pns_evidence", "pns_multi_evidence")
+            single, chain = (evaluate_query(table, PoCQuery(kind=k, **fields), config) for k in kinds)
+            assert (single.value, single.case, single.clamped_at_zero) == (
+                chain.value, chain.case, chain.clamped_at_zero)
+            assert list(single.components.values()) == list(chain.components.values())
+            assert list(single.components)[:2] == ["rho_y_x0", "rho_y_x1"]
+            assert list(chain.components)[:2] == ["rho_y1_x0", "rho_y1_x1"]
+    # Both arms orders, so both clamp outcomes were compared.
+    assert evaluate_query(table, PoCQuery(kind="pns", thresholds=((0.3, 0.0),),
+                                          treatments=((1.0,), (0.0,)), covariates=(1.0,),
+                                          order=spec.order), config).clamped_at_zero
+
+
+@pytest.mark.parametrize("method", ["empirical", "logistic"])
+def test_marginal_matches_a_per_profile_loop(method):
+    raw = load_scm(packaged_spec_path("lexi2")).as_dict()
+    # Forty profiles: enough terms that a pairwise sum, unlike a left to
+    # right one, changes the logistic total in the last bit.
+    raw["covariates"] = {"support": [[0.07 * i] for i in range(40)], "probs": [1.0 / 40] * 40}
+    spec = scm_from_dict(raw)
+    table = simulate(spec, 6000, seed=31)
+    config = EstimatorConfig(method=method)
+    y, x0, x1 = (0.4, -0.2), (0.0,), (1.0,)
+    query = PoCQuery(kind="marginal_pns", thresholds=(y,), treatments=(x0, x1), order=spec.order)
+    est = marginal_pns(table, query, config)
+
+    reference = build_estimator(table, spec.order, config)
+    profiles, counts = np.unique(table.covariates(), axis=0, return_counts=True)
+    total, clamped = 0.0, 0
+    for c, w in zip(profiles.tolist(), counts / counts.sum()):
+        r0 = reference.rho_pair(y, [list(x0) + c])[0][0]
+        r1 = reference.rho_pair(y, [list(x1) + c])[0][0]
+        clamped += r0 - r1 < 0
+        total += w * pns_point(r0, r1)
+    assert len(profiles) == 40
+    assert est.value == total
+    assert est.components == {"n_profiles": 40.0, "clamped_profiles": float(clamped)}
+    assert est.clamped_at_zero == (clamped == 40)

@@ -10,6 +10,7 @@ from pocause import (
     CounterfactualEvent,
     NoSupportError,
     TabularMean,
+    TreatmentPolicy,
     check_monotonicity,
     derived_rng,
     export_trajectories,
@@ -234,3 +235,24 @@ def test_tabular_state_probs_sum_to_one():
             probs = mean.state_probs(x, c)
             assert probs.shape == (3,)
             assert abs(probs.sum() - 1.0) < 1e-12
+
+
+def test_policy_sample_matches_per_row_search():
+    """Each row's level is the searchsorted position of its uniform in its
+    own profile's cumulative probabilities, capped at the last level."""
+    policy = TreatmentPolicy(
+        support=[[0.0], [1.0], [2.0], [3.0]],
+        logits=[0.2, -0.1, 0.0, 0.3],
+        covariate_logits=[[0.5, -1.0], [0.0, 2.0], [-0.7, 0.1], [1.5, 0.0]],
+    )
+    rng = np.random.default_rng(8)
+    C = rng.integers(0, 3, size=(2000, 2)).astype(float)
+    X = policy.sample(C, np.random.default_rng(21))
+    u = np.random.default_rng(21).random(C.shape[0])
+    expected = []
+    for c, ui in zip(C, u):
+        cum = np.cumsum(policy.probabilities(c))
+        expected.append(min(int(np.searchsorted(cum, ui, side="right")), policy.n_levels - 1))
+    np.testing.assert_array_equal(X, policy.support[expected])
+    assert len({tuple(row) for row in C.tolist()}) == 9
+    assert set(X[:, 0].tolist()) == {0.0, 1.0, 2.0, 3.0}
