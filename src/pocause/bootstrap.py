@@ -28,9 +28,21 @@ from .errors import (
     SeparationError,
     SingularError,
 )
-from .scm import derived_rng
 
 RECOVERABLE = (NotIdentifiedError, NoSupportError, SeparationError, SingularError)
+
+
+def derived_rng(seed: int, index: int) -> np.random.Generator:
+    """Generator for stream `index` under `seed`.
+
+    Streams are Philox counters keyed by seed XOR index, so any (seed,
+    index) pair names the same infinite sequence on every machine and in
+    every thread. Resampling schemes should draw replicate b from stream b.
+    """
+    s, i = int(seed), int(index)
+    if s < 0 or i < 0:
+        raise ConfigError(f"seed and stream index must be >= 0, got {seed} and {index}")
+    return np.random.Generator(np.random.Philox(key=s ^ i))
 
 
 @dataclass(frozen=True)

@@ -249,7 +249,9 @@ class EmpiricalCdf(_ThresholdCdf):
 
 
 class LogisticCdf(_ThresholdCdf):
-    """Conditional CDF via one pair of logistic fits per threshold.
+    """Conditional CDF via a logistic fit of each threshold indicator. The
+    fit is deterministic, so when the strict and weak columns agree (always,
+    for a continuous outcome) one fit serves both sides.
 
     Constant indicator columns (threshold outside the observed outcome
     range) short-circuit to the exact probability 0 or 1 with a diagnostic;
@@ -263,38 +265,38 @@ class LogisticCdf(_ThresholdCdf):
         super().__init__(table, order)
         self.ridge = float(ridge)
 
-    def _fit_side(self, labels: np.ndarray, what: str):
+    def _fit_side(self, labels: np.ndarray) -> tuple:
+        """The model for one indicator column, and notes on how it was got."""
         rate = float(labels.mean())
         if rate == 0.0 or rate == 1.0:
-            self.diagnostics.append(
-                f"{what}: indicator is constant {int(rate)}; using it directly"
-            )
-            return rate
+            return rate, [f"indicator is constant {int(rate)}; using it directly"]
+        notes = []
         try:
             model = fit_logistic(
                 self._xc, labels, ridge=self.ridge, tol=IRLS_TOL, max_iter=IRLS_MAX_ITER
             )
         except SeparationError:
             fallback = max(self.ridge, RIDGE_FALLBACK)
-            self.diagnostics.append(
-                f"{what}: separation; refitted with ridge {fallback:g}"
-            )
+            notes.append(f"separation; refitted with ridge {fallback:g}")
             model = fit_logistic(
                 self._xc, labels, ridge=fallback, tol=IRLS_TOL, max_iter=IRLS_MAX_ITER
             )
         if not model.converged:
-            self.diagnostics.append(
-                f"{what}: IRLS stopped unconverged after {model.n_iter} "
+            notes.append(
+                f"IRLS stopped unconverged after {model.n_iter} "
                 "iteration(s); using the last iterate"
             )
-        return model
+        return model, notes
 
     def _fit(self, threshold, strict, weak) -> tuple:
         label = np.asarray(threshold, dtype=float).tolist()
-        return (
-            self._fit_side(strict.astype(float), f"strict indicator at {label}"),
-            self._fit_side(weak.astype(float), f"weak indicator at {label}"),
+        strict_fit = self._fit_side(strict.astype(float))
+        weak_fit = (
+            strict_fit if np.array_equal(strict, weak) else self._fit_side(weak.astype(float))
         )
+        for side, (_, notes) in (("strict", strict_fit), ("weak", weak_fit)):
+            self.diagnostics.extend(f"{side} indicator at {label}: {note}" for note in notes)
+        return strict_fit[0], weak_fit[0]
 
     def rho_pair(self, threshold, points) -> tuple[np.ndarray, np.ndarray]:
         pts = self._points(points)

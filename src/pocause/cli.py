@@ -26,8 +26,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from .bootstrap import bootstrap
 from .bundled import packaged_spec_path
 from .dataset import load_schema, load_table, save_table
@@ -37,34 +35,12 @@ from .errors import (
     DegenerateError,
     NoSupportError,
     NotIdentifiedError,
-    PocError,
     SchemaError,
     SeparationError,
     SingularError,
 )
-from .estimands import (
-    EstimatorConfig,
-    Evidence,
-    PoCQuery,
-    evaluate_query,
-    query_as_dict,
-    query_from_dict,
-)
-from .scm import (
-    CfClause,
-    CounterfactualEvent,
-    GaussianDiag,
-    NonMonotoneTest,
-    TabularMean,
-    check_monotonicity,
-    export_trajectories,
-    flip_event,
-    load_scm,
-    monotonicity_probe,
-    oracle_evidence,
-    oracle_joint,
-    simulate,
-)
+from .estimands import EstimatorConfig, evaluate_query, load_query, query_as_dict
+from .scm import _trajectory_grid, export_trajectories, load_scm, simulate, validate_spec
 from .student import VARIANTS, format_student_report, reproduce_student
 
 EXIT_OK = 0
@@ -74,9 +50,6 @@ EXIT_DATA = 3
 EXIT_IDENTIFICATION = 4
 EXIT_ESTIMATION = 5
 
-ORACLE_TOL = 0.02
-ALARM_MIN = 0.05
-
 
 def _emit(obj: dict, out_path) -> None:
     text = json.dumps(obj, indent=2) + "\n"
@@ -85,10 +58,6 @@ def _emit(obj: dict, out_path) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _note(line: str) -> None:
-    sys.stderr.write(line + "\n")
 
 
 def _resolve_seed(value) -> int:
@@ -104,16 +73,6 @@ def _resolve_seed(value) -> int:
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     return seed
-
-
-def _load_json(path, what: str) -> dict:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
 
 
 def _estimator_config(args) -> EstimatorConfig:
@@ -140,7 +99,7 @@ def _cmd_estimate(args) -> int:
     seed = _resolve_seed(args.seed)
     schema = load_schema(args.schema)
     table = load_table(args.data, schema, delimiter=args.delimiter)
-    query = query_from_dict(_load_json(args.query, "query file"))
+    query = load_query(args.query)
     config = _estimator_config(args)
     estimate = evaluate_query(table, query, config)
     boot = None
@@ -192,248 +151,15 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _trajectory_grid(spec, size: int) -> np.ndarray:
-    """Treatments to trace the latent curves over: a tabular model's own
-    levels in lexicographic order, otherwise size points spanning the
-    policy support."""
-    if isinstance(spec.mean, TabularMean):
-        levels = spec.mean.x_levels
-        return levels[np.lexsort(tuple(levels[:, j] for j in range(levels.shape[1] - 1, -1, -1)))]
-    sup = spec.policy.support
-    return np.linspace(sup.min(axis=0), sup.max(axis=0), size)
-
-
-def _check_row(checks, name: str, status: str, observed, band, detail: str) -> None:
-    checks.append(
-        {
-            "name": name,
-            "status": status,
-            "observed": observed,
-            "band": band,
-            "detail": detail,
-        }
-    )
-    _note(f"[{status}] {name}: {detail}")
-
-
 def _cmd_validate(args) -> int:
     seed = _resolve_seed(args.seed)
     spec = _resolve_spec(args.spec)
     config = _estimator_config(args)
-    nonmono = isinstance(spec.coupling, NonMonotoneTest)
-
-    table = simulate(spec, args.n, seed)
-    c = () if spec.covariates is None else tuple(spec.covariates.support[0])
-    thresholds, pairs = monotonicity_probe(
-        spec, n_thresholds=50, n_pilot=4000, seed=seed
+    checks = validate_spec(
+        spec, n=args.n, n_mc=args.n_mc, grid=args.grid, n_u=args.n_u, config=config, seed=seed
     )
-    sup = spec.policy.support
-    n_levels = sup.shape[0]
-    x0, x1 = tuple(sup[0]), tuple(sup[-1])
-    y_mid = thresholds[len(thresholds) // 2]
-    checks: list[dict] = []
-
-    def query(kind, ts, xs, evidence=None):
-        return PoCQuery(
-            kind=kind,
-            thresholds=tuple(ts),
-            treatments=tuple(xs),
-            covariates=c if c else None,
-            evidence=evidence,
-            order=spec.order,
-        )
-
-    def estimate(kind, ts, xs, evidence=None):
-        return evaluate_query(table, query(kind, ts, xs, evidence), config)
-
-    # Identification: formula on simulated data against the shared-latent
-    # oracle. Under a broken monotonicity assumption these are expected to
-    # disagree, so they are recorded without a verdict there.
-    try:
-        o_flip = oracle_joint(spec, flip_event([y_mid], [x0, x1]), c, args.n_mc, seed)
-        o_reach = oracle_joint(
-            spec,
-            CounterfactualEvent((CfClause(x=x1, at_least=y_mid),)),
-            c,
-            args.n_mc,
-            seed,
-        )
-        o_short = oracle_joint(
-            spec,
-            CounterfactualEvent((CfClause(x=x0, below=y_mid),)),
-            c,
-            args.n_mc,
-            seed,
-        )
-        targets = {"pns": o_flip.value}
-        if o_reach.value > 0:
-            targets["pn"] = o_flip.value / o_reach.value
-        if o_short.value > 0:
-            targets["ps"] = o_flip.value / o_short.value
-        for kind, target in targets.items():
-            value = estimate(kind, [y_mid], [x0, x1]).value
-            gap = abs(value - target)
-            if nonmono:
-                status = "xfail" if gap > ORACLE_TOL else "pass"
-                detail = (
-                    f"{kind} formula {value:.4f} vs oracle {target:.4f}; the "
-                    "mechanism is deliberately nonmonotone, disagreement expected"
-                )
-            else:
-                status = "pass" if gap <= ORACLE_TOL else "fail"
-                detail = f"{kind} formula {value:.4f} vs oracle {target:.4f}"
-            _check_row(checks, f"{kind}_vs_oracle", status, gap, ORACLE_TOL, detail)
-    except PocError as exc:
-        _check_row(
-            checks, "identification", "fail", None, ORACLE_TOL,
-            f"identification checks errored: {exc}",
-        )
-
-    # Monotonicity probe over the threshold grid.
-    report = check_monotonicity(spec, thresholds, pairs, c=c, n_mc=args.n_mc, seed=seed)
-    if nonmono:
-        status = "pass" if report.max_violation >= ALARM_MIN else "fail"
-        _check_row(
-            checks,
-            "monotonicity_alarm",
-            status,
-            report.max_violation,
-            ALARM_MIN,
-            f"two-sided flip probability {report.max_violation:.4f} "
-            f"(alarm should fire, threshold {ALARM_MIN})",
-        )
-    else:
-        band = 3.0 * report.std_error
-        status = "pass" if report.max_violation <= band else "fail"
-        _check_row(
-            checks,
-            "monotonicity",
-            status,
-            report.max_violation,
-            band,
-            f"largest two-sided flip probability {report.max_violation:.5f} "
-            f"(3 std errors = {band:.5f})",
-        )
-
-    # Trajectory crossings.
-    grid = _trajectory_grid(spec, args.grid)
-    traj = export_trajectories(spec, grid, c=c if c else None, n_u=args.n_u, seed=seed)
-    if nonmono:
-        status = "pass" if traj.crossing_count > 0 else "fail"
-        detail = (
-            f"{traj.crossing_count} crossings over {args.n_u} latent curves "
-            "(a nonmonotone mechanism must cross)"
-        )
-        _check_row(checks, "crossing_alarm", status, traj.crossing_count, 1, detail)
-    else:
-        status = "pass" if traj.crossing_count == 0 else "fail"
-        detail = f"{traj.crossing_count} crossings over {args.n_u} latent curves"
-        _check_row(checks, "crossings", status, traj.crossing_count, 0, detail)
-
-    if not nonmono:
-        # Evidence conditioning, in whichever regime this model lives.
-        try:
-            if isinstance(spec.mean, TabularMean):
-                probs = spec.mean.state_probs(x0, c)
-                y_ev = tuple(spec.mean.levels[int(np.argmax(probs))])
-                q_ev = query("pns_evidence", [y_mid], [x0, x1], Evidence(y=y_ev, x=x0))
-                est = evaluate_query(table, q_ev, config)
-                orc = oracle_evidence(
-                    spec, [y_mid], [x0, x1], y_ev, x0, c,
-                    n_mc=args.n_mc, seed=seed, atom_tol=config.atom_tol,
-                )
-                boot = bootstrap(
-                    table,
-                    lambda t: evaluate_query(t, q_ev, config).value,
-                    n_boot=200,
-                    seed=seed,
-                )
-                band = 3.0 * float(np.hypot(orc.std_error, boot.boot_sd))
-                gap = abs(est.value - orc.value)
-                ok = gap <= band and est.case == "evidence_case_a"
-                _check_row(
-                    checks,
-                    "evidence_atoms",
-                    "pass" if ok else "fail",
-                    gap,
-                    band,
-                    f"conditioned estimate {est.value:.4f} ({est.case}) vs "
-                    f"rejection oracle {orc.value:.4f} "
-                    f"(accepted {orc.n_used} of {orc.n_mc})",
-                )
-            else:
-                noise = spec.noise
-                if isinstance(noise, GaussianDiag):
-                    u_star = noise.mean + 0.3 * noise.sd
-                else:
-                    u_star = noise.lo + 0.3 * (noise.hi - noise.lo)
-                x_obs = tuple(sup[n_levels // 2])
-                c_arr = np.asarray(c, dtype=float).reshape(1, -1)
-                y_ev = tuple(
-                    spec.outcomes(
-                        np.asarray(x_obs, dtype=float).reshape(1, -1),
-                        c_arr,
-                        u_star.reshape(1, -1),
-                    )[0]
-                )
-                evidence = Evidence(y=y_ev, x=x_obs)
-                est = estimate("pns_evidence", [y_mid], [x0, x1], evidence)
-                orc = oracle_evidence(
-                    spec, [y_mid], [x0, x1], y_ev, x_obs, c,
-                    n_mc=args.n_mc, seed=seed, atom_tol=config.atom_tol,
-                )
-                ok = est.value == orc.value and est.case == "evidence_case_b"
-                _check_row(
-                    checks,
-                    "evidence_pinned",
-                    "pass" if ok else "fail",
-                    abs(est.value - orc.value),
-                    0,
-                    f"conditioned estimate {est.value:.0f} ({est.case}) vs "
-                    f"pinned-latent oracle {orc.value:.0f}",
-                )
-        except PocError as exc:
-            _check_row(
-                checks, "evidence", "fail", None, None,
-                f"evidence check errored: {exc}",
-            )
-
-        # Treatment chains, where the support is rich enough.
-        def chain_check(name, xs_idx, ts_idx):
-            xs = [tuple(sup[i]) for i in xs_idx]
-            ts = [thresholds[i] for i in ts_idx]
-            try:
-                est = estimate("pns_multi", ts, xs)
-                orc = oracle_joint(spec, flip_event(ts, xs), c, args.n_mc, seed)
-                gap = abs(est.value - orc.value)
-                _check_row(
-                    checks,
-                    name,
-                    "pass" if gap <= ORACLE_TOL else "fail",
-                    gap,
-                    ORACLE_TOL,
-                    f"chain estimate {est.value:.4f} vs oracle {orc.value:.4f}",
-                )
-            except PocError as exc:
-                _check_row(checks, name, "fail", None, ORACLE_TOL,
-                           f"chain check errored: {exc}")
-
-        n_t = len(thresholds)
-        if n_levels >= 3:
-            chain_check(
-                "chain_two_steps",
-                [0, n_levels // 2, n_levels - 1],
-                [int(0.4 * n_t), int(0.6 * n_t)],
-            )
-        if n_levels >= 4:
-            idx = np.round(np.linspace(0, n_levels - 1, 4)).astype(int)
-            if len(set(idx.tolist())) == 4:
-                chain_check(
-                    "chain_three_steps",
-                    idx.tolist(),
-                    [int(0.35 * n_t), int(0.5 * n_t), int(0.65 * n_t)],
-                )
-
+    for ch in checks:
+        sys.stderr.write(f"[{ch['status']}] {ch['name']}: {ch['detail']}\n")
     failed = [ch["name"] for ch in checks if ch["status"] == "fail"]
     _emit(
         {

@@ -184,14 +184,6 @@ def compare(a, b, order: OrderSpec) -> Ordering:
     return Ordering.EQUAL
 
 
-def strictly_precedes(a, b, order: OrderSpec) -> bool:
-    return compare(a, b, order) is Ordering.LESS
-
-
-def precedes_or_equal(a, b, order: OrderSpec) -> bool:
-    return compare(a, b, order) is not Ordering.GREATER
-
-
 def indicator_below(rows, threshold, order: OrderSpec) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized threshold indicators for a batch of outcomes.
 

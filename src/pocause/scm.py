@@ -29,12 +29,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
+from .bootstrap import bootstrap, derived_rng
 from .dataset import DataTable, TableSchema, Variable
-from .errors import ConfigError, NoSupportError
+from .errors import ConfigError, NoSupportError, PocError
+from .estimands import EstimatorConfig, Evidence, PoCQuery, evaluate_query
 from .ordering import (
     Lexicographic,
     Ordering,
@@ -56,19 +58,6 @@ _STREAM_ORACLE_EVIDENCE = 2
 _STREAM_MONOTONICITY = 3
 _STREAM_PROBE = 4
 _STREAM_TRAJECTORIES = 5
-
-
-def derived_rng(seed: int, index: int) -> np.random.Generator:
-    """Generator for stream `index` under `seed`.
-
-    Streams are Philox counters keyed by seed XOR index, so any (seed,
-    index) pair names the same infinite sequence on every machine and in
-    every thread. Resampling schemes should draw replicate b from stream b.
-    """
-    s, i = int(seed), int(index)
-    if s < 0 or i < 0:
-        raise ConfigError(f"seed and stream index must be >= 0, got {seed} and {index}")
-    return np.random.Generator(np.random.Philox(key=s ^ i))
 
 
 def _matrix(v, name: str) -> np.ndarray:
@@ -731,24 +720,53 @@ def flip_event(thresholds, treatments) -> CounterfactualEvent:
     return CounterfactualEvent(clauses=tuple(clauses))
 
 
-def _event_mask(spec: ScmSpec, event: CounterfactualEvent, c, U: np.ndarray) -> np.ndarray:
-    order = spec.outcome_order
+def _reference_c(spec: ScmSpec) -> tuple:
+    """The covariate profile the diagnostics use when given none: the
+    first covariate support row, or () for a model without covariates."""
+    return () if spec.covariates is None else tuple(spec.covariates.support[0])
+
+
+def _support_pairs(spec: ScmSpec) -> list:
+    """Every pair of policy support rows, in support order."""
+    sup = spec.policy.support
+    return [(tuple(sup[i]), tuple(sup[j])) for i, j in combinations(range(sup.shape[0]), 2)]
+
+
+def _latents(spec: ScmSpec, n, seed: int, stream: int) -> np.ndarray:
+    """n latent draws from counter stream `stream` under `seed`."""
+    n = int(n)
+    if n <= 0:
+        raise ConfigError(f"need a positive Monte Carlo size, got {n}")
+    return spec.noise.sample(n, derived_rng(seed, stream))
+
+
+def _counterfactuals(spec: ScmSpec, c, U: np.ndarray):
+    """x -> Y(x) at covariates c for every latent row of U; each distinct
+    treatment is evaluated once."""
     n = U.shape[0]
     c_arr = np.asarray(c, dtype=float).ravel()
     C = np.broadcast_to(c_arr, (n, c_arr.size))
-    ok = np.ones(n, dtype=bool)
-    cf_cache: dict[bytes, np.ndarray] = {}
-    for clause in event.clauses:
-        x_arr = np.asarray(clause.x, dtype=float)
+    cache: dict[bytes, np.ndarray] = {}
+
+    def at(x) -> np.ndarray:
+        x_arr = np.asarray(x, dtype=float).ravel()
         key = x_arr.tobytes()
-        if key not in cf_cache:
-            X = np.broadcast_to(x_arr, (n, x_arr.size))
-            cf_cache[key] = spec.outcomes(X, C, U)
-        Yx = cf_cache[key]
+        if key not in cache:
+            cache[key] = spec.outcomes(np.broadcast_to(x_arr, (n, x_arr.size)), C, U)
+        return cache[key]
+
+    return at
+
+
+def _event_mask(spec: ScmSpec, event: CounterfactualEvent, c, U: np.ndarray) -> np.ndarray:
+    order = spec.outcome_order
+    at = _counterfactuals(spec, c, U)
+    ok = np.ones(U.shape[0], dtype=bool)
+    for clause in event.clauses:
         if clause.below is not None:
-            ok &= indicator_below(Yx, clause.below, order)[0]
+            ok &= indicator_below(at(clause.x), clause.below, order)[0]
         if clause.at_least is not None:
-            ok &= ~indicator_below(Yx, clause.at_least, order)[0]
+            ok &= ~indicator_below(at(clause.x), clause.at_least, order)[0]
     return ok
 
 
@@ -769,19 +787,14 @@ def oracle_joint(
     This is the ground truth the identification formulas are supposed to
     recover: no CDFs, no modeling, just the mechanism run both ways.
     """
-    n_mc = int(n_mc)
-    if n_mc <= 0:
-        raise ConfigError(f"need a positive Monte Carlo size, got {n_mc}")
-    rng = derived_rng(seed, _STREAM_ORACLE_JOINT)
-    U = spec.noise.sample(n_mc, rng)
-    ok = _event_mask(spec, event, c, U)
-    v = float(ok.mean())
+    U = _latents(spec, n_mc, seed, _STREAM_ORACLE_JOINT)
+    v = float(_event_mask(spec, event, c, U).mean())
+    n_mc = U.shape[0]
     return OracleResult(
         value=v,
         std_error=float(np.sqrt(v * (1.0 - v) / n_mc)),
         n_mc=n_mc,
         n_used=n_mc,
-        exact=False,
     )
 
 
@@ -825,14 +838,8 @@ def oracle_evidence(
             value=float(ok[0]), std_error=0.0, n_mc=1, n_used=1, exact=True
         )
 
-    n_mc = int(n_mc)
-    if n_mc <= 0:
-        raise ConfigError(f"need a positive Monte Carlo size, got {n_mc}")
-    rng = derived_rng(seed, _STREAM_ORACLE_EVIDENCE)
-    U = spec.noise.sample(n_mc, rng)
-    X = np.broadcast_to(ev_x, (n_mc, ev_x.size))
-    C = np.broadcast_to(c_arr, (n_mc, c_arr.size))
-    Yx = spec.outcomes(X, C, U)
+    U = _latents(spec, n_mc, seed, _STREAM_ORACLE_EVIDENCE)
+    Yx = _counterfactuals(spec, c_arr, U)(ev_x)
     match = np.max(np.abs(Yx - ev_y), axis=1) <= atom_tol
     n_used = int(match.sum())
     if n_used == 0:
@@ -845,9 +852,8 @@ def oracle_evidence(
     return OracleResult(
         value=v,
         std_error=float(np.sqrt(v * (1.0 - v) / n_used)),
-        n_mc=n_mc,
+        n_mc=U.shape[0],
         n_used=n_used,
-        exact=False,
     )
 
 
@@ -880,39 +886,26 @@ def check_monotonicity(
     """
     order = spec.outcome_order
     if pairs is None:
-        sup = spec.policy.support
-        pairs = [
-            (tuple(sup[i]), tuple(sup[j]))
-            for i, j in combinations(range(sup.shape[0]), 2)
-        ]
+        pairs = _support_pairs(spec)
     if not pairs:
         raise ConfigError("need at least one treatment pair to probe")
     thresholds = [tuple(float(v) for v in t) for t in thresholds]
     if not thresholds:
         raise ConfigError("need at least one threshold to probe")
-    if c is None:
-        c = () if spec.covariates is None else tuple(spec.covariates.support[0])
-    c_arr = np.asarray(c, dtype=float).ravel()
 
-    n_mc = int(n_mc)
-    rng = derived_rng(seed, _STREAM_MONOTONICITY)
-    U = spec.noise.sample(n_mc, rng)
-    C = np.broadcast_to(c_arr, (n_mc, c_arr.size))
-
-    distinct = {}
-    for xa, xb in pairs:
-        for x in (xa, xb):
-            key = np.asarray(x, dtype=float).tobytes()
-            if key not in distinct:
-                X = np.broadcast_to(np.asarray(x, dtype=float), (n_mc, len(x)))
-                distinct[key] = spec.outcomes(X, C, U)
-
+    U = _latents(spec, n_mc, seed, _STREAM_MONOTONICITY)
+    n_mc = U.shape[0]
+    at = _counterfactuals(spec, _reference_c(spec) if c is None else c, U)
+    # Every Y(x) before any indicator: one evaluated on top of the cached
+    # indicators would raise the peak memory.
+    for x in chain.from_iterable(pairs):
+        at(x)
     strict_cache: dict[tuple, np.ndarray] = {}
 
     def strict(x, y):
         key = (np.asarray(x, dtype=float).tobytes(), np.asarray(y, dtype=float).tobytes())
         if key not in strict_cache:
-            strict_cache[key] = indicator_below(distinct[key[0]], y, order)[0]
+            strict_cache[key] = indicator_below(at(x), y, order)[0]
         return strict_cache[key]
 
     best = (-1.0, 0.0, pairs[0], thresholds[0])
@@ -953,24 +946,10 @@ def monotonicity_probe(
     statistics of pilot counterfactual outcomes, against every support pair."""
     if n_thresholds < 1 or n_pilot < n_thresholds:
         raise ConfigError("need n_pilot >= n_thresholds >= 1")
-    order = spec.outcome_order
-    c = () if spec.covariates is None else tuple(spec.covariates.support[0])
-    c_arr = np.asarray(c, dtype=float).ravel()
-    rng = derived_rng(seed, _STREAM_PROBE)
-    U = spec.noise.sample(n_pilot, rng)
-    C = np.broadcast_to(c_arr, (n_pilot, c_arr.size))
-    blocks = []
-    for x in spec.policy.support:
-        X = np.broadcast_to(x, (n_pilot, x.size))
-        blocks.append(spec.outcomes(X, C, U))
-    pool = _sorted_rows(np.vstack(blocks), order)
+    at = _counterfactuals(spec, _reference_c(spec), _latents(spec, n_pilot, seed, _STREAM_PROBE))
+    pool = _sorted_rows(np.vstack([at(x) for x in spec.policy.support]), spec.outcome_order)
     picks = np.linspace(0, pool.shape[0] - 1, n_thresholds).round().astype(int)
-    thresholds = [tuple(row) for row in pool[picks]]
-    sup = spec.policy.support
-    pairs = [
-        (tuple(sup[i]), tuple(sup[j])) for i, j in combinations(range(sup.shape[0]), 2)
-    ]
-    return thresholds, pairs
+    return [tuple(row) for row in pool[picks]], _support_pairs(spec)
 
 
 @dataclass(frozen=True)
@@ -1000,18 +979,11 @@ def export_trajectories(
     n_u = int(n_u)
     if n_u < 2:
         raise ConfigError("need at least two latent draws to compare")
-    if c is None:
-        c = () if spec.covariates is None else tuple(spec.covariates.support[0])
-    c_arr = np.asarray(c, dtype=float).ravel()
     order = spec.outcome_order
 
-    rng = derived_rng(seed, _STREAM_TRAJECTORIES)
-    U = spec.noise.sample(n_u, rng)
-    C = np.broadcast_to(c_arr, (n_u, c_arr.size))
-    curves = np.empty((n_u, grid.shape[0], spec.n_outcomes))
-    for g in range(grid.shape[0]):
-        X = np.broadcast_to(grid[g], (n_u, grid.shape[1]))
-        curves[:, g, :] = spec.outcomes(X, C, U)
+    U = _latents(spec, n_u, seed, _STREAM_TRAJECTORIES)
+    at = _counterfactuals(spec, _reference_c(spec) if c is None else c, U)
+    curves = np.stack([at(x) for x in grid], axis=1)
 
     crossings = 0
     for i, j in combinations(range(n_u), 2):
@@ -1026,3 +998,203 @@ def export_trajectories(
     return TrajectorySet(
         x_grid=grid, u_values=U, outcomes=curves, crossing_count=crossings
     )
+
+
+# ---------------------------------------------------------------------------
+# Validation: every check above, run against one simulated table.
+# ---------------------------------------------------------------------------
+
+ORACLE_TOL = 0.02
+ALARM_MIN = 0.05
+
+
+def _trajectory_grid(spec: ScmSpec, size: int) -> np.ndarray:
+    """Treatments to trace the latent curves over: a tabular model's own
+    levels in lexicographic order, otherwise size points spanning the
+    policy support."""
+    if isinstance(spec.mean, TabularMean):
+        levels = spec.mean.x_levels
+        return levels[np.lexsort(tuple(levels[:, j] for j in range(levels.shape[1] - 1, -1, -1)))]
+    sup = spec.policy.support
+    return np.linspace(sup.min(axis=0), sup.max(axis=0), size)
+
+
+def validate_spec(
+    spec: ScmSpec,
+    *,
+    n: int,
+    n_mc: int,
+    grid: int,
+    n_u: int,
+    config: EstimatorConfig,
+    seed: int,
+) -> list[dict]:
+    """Estimate on n rows simulated from spec, at the first covariate
+    profile, and hold the answers and the monotonicity diagnostics against
+    the brute-force oracles (n_mc draws; grid and n_u size the trajectories).
+
+    Returns one record per check, in a fixed order: name, status ("pass",
+    "fail", or "xfail" where disagreement is expected), observed, band and
+    detail. A nonmonotone spec gets its alarms checked; a monotone one also
+    evidence conditioning and, if the support allows, treatment chains. A
+    check that raises a PocError is recorded as failed.
+    """
+    nonmono = isinstance(spec.coupling, NonMonotoneTest)
+    table = simulate(spec, n, seed)
+    c = _reference_c(spec)
+    thresholds, pairs = monotonicity_probe(spec, n_thresholds=50, n_pilot=4000, seed=seed)
+    sup = spec.policy.support
+    n_levels = sup.shape[0]
+    x0, x1 = tuple(sup[0]), tuple(sup[-1])
+    y_mid = thresholds[len(thresholds) // 2]
+    checks: list[dict] = []
+
+    def check(name: str, status: str, observed, band, detail: str) -> None:
+        checks.append(dict(name=name, status=status, observed=observed, band=band, detail=detail))
+
+    def query(kind, ts, xs, evidence=None):
+        return PoCQuery(
+            kind=kind,
+            thresholds=tuple(ts),
+            treatments=tuple(xs),
+            covariates=c if c else None,
+            evidence=evidence,
+            order=spec.order,
+        )
+
+    # Identification: formula on simulated data against the shared-latent
+    # oracle. Under a broken monotonicity assumption these are expected to
+    # disagree, so they are recorded without a verdict there.
+    try:
+        o_flip = oracle_joint(spec, flip_event([y_mid], [x0, x1]), c, n_mc, seed)
+        o_reach, o_short = (
+            oracle_joint(spec, CounterfactualEvent((clause,)), c, n_mc, seed)
+            for clause in (CfClause(x=x1, at_least=y_mid), CfClause(x=x0, below=y_mid))
+        )
+        targets = {"pns": o_flip.value}
+        if o_reach.value > 0:
+            targets["pn"] = o_flip.value / o_reach.value
+        if o_short.value > 0:
+            targets["ps"] = o_flip.value / o_short.value
+        for kind, target in targets.items():
+            value = evaluate_query(table, query(kind, [y_mid], [x0, x1]), config).value
+            gap = abs(value - target)
+            if nonmono:
+                status = "xfail" if gap > ORACLE_TOL else "pass"
+                detail = (
+                    f"{kind} formula {value:.4f} vs oracle {target:.4f}; the "
+                    "mechanism is deliberately nonmonotone, disagreement expected"
+                )
+            else:
+                status = "pass" if gap <= ORACLE_TOL else "fail"
+                detail = f"{kind} formula {value:.4f} vs oracle {target:.4f}"
+            check(f"{kind}_vs_oracle", status, gap, ORACLE_TOL, detail)
+    except PocError as exc:
+        check("identification", "fail", None, ORACLE_TOL, f"identification checks errored: {exc}")
+
+    # The two diagnostics of the monotonicity assumption: alarms that must
+    # fire on a nonmonotone spec and stay silent on a monotone one.
+    report = check_monotonicity(spec, thresholds, pairs, c=c, n_mc=n_mc, seed=seed)
+    violation = report.max_violation
+    crossings = export_trajectories(
+        spec, _trajectory_grid(spec, grid), c=c, n_u=n_u, seed=seed
+    ).crossing_count
+    if nonmono:
+        check(
+            "monotonicity_alarm", "pass" if violation >= ALARM_MIN else "fail",
+            violation, ALARM_MIN,
+            f"two-sided flip probability {violation:.4f} "
+            f"(alarm should fire, threshold {ALARM_MIN})",
+        )
+        check(
+            "crossing_alarm", "pass" if crossings > 0 else "fail", crossings, 1,
+            f"{crossings} crossings over {n_u} latent curves "
+            "(a nonmonotone mechanism must cross)",
+        )
+        return checks
+    band = 3.0 * report.std_error
+    check(
+        "monotonicity", "pass" if violation <= band else "fail", violation, band,
+        f"largest two-sided flip probability {violation:.5f} "
+        f"(3 std errors = {band:.5f})",
+    )
+    check(
+        "crossings", "pass" if crossings == 0 else "fail", crossings, 0,
+        f"{crossings} crossings over {n_u} latent curves",
+    )
+
+    # Evidence conditioning, in whichever regime this model lives: an atom
+    # of a tabular outcome, or a continuous outcome that pins the latent.
+    tabular = isinstance(spec.mean, TabularMean)
+    try:
+        if tabular:
+            x_ev = x0
+            y_ev = tuple(spec.mean.levels[int(np.argmax(spec.mean.state_probs(x0, c)))])
+        else:
+            noise = spec.noise
+            if isinstance(noise, GaussianDiag):
+                u_star = noise.mean + 0.3 * noise.sd
+            else:
+                u_star = noise.lo + 0.3 * (noise.hi - noise.lo)
+            x_ev = tuple(sup[n_levels // 2])
+            y_ev = tuple(_counterfactuals(spec, c, u_star.reshape(1, -1))(x_ev)[0])
+        q_ev = query("pns_evidence", [y_mid], [x0, x1], Evidence(y=y_ev, x=x_ev))
+        est = evaluate_query(table, q_ev, config)
+        orc = oracle_evidence(
+            spec, [y_mid], [x0, x1], y_ev, x_ev, c,
+            n_mc=n_mc, seed=seed, atom_tol=config.atom_tol,
+        )
+        gap = abs(est.value - orc.value)
+        if tabular:
+            boot = bootstrap(
+                table, lambda t: evaluate_query(t, q_ev, config).value, n_boot=200, seed=seed
+            )
+            band = 3.0 * float(np.hypot(orc.std_error, boot.boot_sd))
+            check(
+                "evidence_atoms",
+                "pass" if gap <= band and est.case == "evidence_case_a" else "fail", gap, band,
+                f"conditioned estimate {est.value:.4f} ({est.case}) vs "
+                f"rejection oracle {orc.value:.4f} "
+                f"(accepted {orc.n_used} of {orc.n_mc})",
+            )
+        else:
+            check(
+                "evidence_pinned",
+                "pass" if gap == 0 and est.case == "evidence_case_b" else "fail", gap, 0,
+                f"conditioned estimate {est.value:.0f} ({est.case}) vs "
+                f"pinned-latent oracle {orc.value:.0f}",
+            )
+    except PocError as exc:
+        check("evidence", "fail", None, None, f"evidence check errored: {exc}")
+
+    # Treatment chains, where the support is rich enough.
+    def chain_check(name, xs_idx, ts_idx):
+        xs = [tuple(sup[i]) for i in xs_idx]
+        ts = [thresholds[i] for i in ts_idx]
+        try:
+            est = evaluate_query(table, query("pns_multi", ts, xs), config)
+            orc = oracle_joint(spec, flip_event(ts, xs), c, n_mc, seed)
+            gap = abs(est.value - orc.value)
+            check(
+                name, "pass" if gap <= ORACLE_TOL else "fail", gap, ORACLE_TOL,
+                f"chain estimate {est.value:.4f} vs oracle {orc.value:.4f}",
+            )
+        except PocError as exc:
+            check(name, "fail", None, ORACLE_TOL, f"chain check errored: {exc}")
+
+    n_t = len(thresholds)
+    if n_levels >= 3:
+        chain_check(
+            "chain_two_steps",
+            [0, n_levels // 2, n_levels - 1],
+            [int(0.4 * n_t), int(0.6 * n_t)],
+        )
+    if n_levels >= 4:
+        idx = np.round(np.linspace(0, n_levels - 1, 4)).astype(int)
+        if len(set(idx.tolist())) == 4:
+            chain_check(
+                "chain_three_steps",
+                idx.tolist(),
+                [int(0.35 * n_t), int(0.5 * n_t), int(0.65 * n_t)],
+            )
+    return checks

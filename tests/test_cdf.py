@@ -238,6 +238,31 @@ def test_logistic_non_convergence_is_recorded(monkeypatch):
     ]
 
 
+def test_equal_indicator_columns_share_one_fit(monkeypatch):
+    """A continuous outcome has no atom at a threshold it never takes, so
+    the strict and weak columns agree and one fit serves both; at an
+    observed value they differ and each gets its own."""
+    calls = []
+
+    def counting_fit(*args, **kwargs):
+        calls.append(1)
+        return fit_logistic(*args, **kwargs)
+
+    monkeypatch.setattr(cdf, "fit_logistic", counting_fit)
+    schema = TableSchema(
+        (Variable("y", "outcome", position=0), Variable("x", "treatment"))
+    )
+    rng = np.random.default_rng(3)
+    x = rng.integers(0, 3, 300).astype(float)
+    y = x + rng.normal(size=300)
+    est = LogisticCdf(DataTable(schema, {"y": y, "x": x}))
+    strict, weak = est.rho_pair((0.5,), [(0.0,), (2.0,)])
+    assert len(calls) == 1
+    np.testing.assert_array_equal(strict, weak)
+    est.rho_pair((float(y[0]),), [(1.0,)])
+    assert len(calls) == 3
+
+
 def test_order_defaults_to_first_component_ascending(small_table):
     est = EmpiricalCdf(small_table)
     assert est.order == lexicographic_default(1)

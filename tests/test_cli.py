@@ -167,6 +167,17 @@ def test_validate_small_run_passes(tmp_path, capsys):
     assert any(row["name"] == "pns_vs_oracle" for row in report["checks"])
 
 
+@pytest.mark.parametrize("n_mc", ["0", "-3"])
+def test_validate_rejects_a_nonpositive_oracle_size(n_mc, capsys):
+    code = main([
+        "validate", "--spec", "additive_scalar", "--n", "2000",
+        "--n-mc", n_mc, "--grid", "4", "--n-u", "4", "--seed", "3",
+    ])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "ConfigError"
+
+
 def test_missing_data_file_is_a_config_error(workdir, capsys):
     code = main([
         "estimate", "--data", str(workdir / "absent.csv"),

@@ -12,8 +12,6 @@ from pocause import (
     indicator_below,
     lexicographic_default,
     order_from_dict,
-    precedes_or_equal,
-    strictly_precedes,
 )
 
 DIM = 3
@@ -67,8 +65,8 @@ def test_compare_is_transitive(a, b, c, order):
     triple = sorted([tuple(a), tuple(b), tuple(c)],
                     key=lambda v: _rank(v, order))
     lo, mid, hi = triple
-    if strictly_precedes(lo, mid, order) and strictly_precedes(mid, hi, order):
-        assert strictly_precedes(lo, hi, order)
+    if compare(lo, mid, order) is Ordering.LESS and compare(mid, hi, order) is Ordering.LESS:
+        assert compare(lo, hi, order) is Ordering.LESS
 
 
 def _rank(v, order):
@@ -83,10 +81,10 @@ def _rank(v, order):
 
 @given(a=vectors, b=vectors, order=orders)
 def test_strict_implies_weak(a, b, order):
-    if strictly_precedes(a, b, order):
-        assert precedes_or_equal(a, b, order)
-    assert precedes_or_equal(a, a, order)
-    assert not strictly_precedes(a, a, order)
+    if compare(a, b, order) is Ordering.LESS:
+        assert compare(a, b, order) is not Ordering.GREATER
+    assert compare(a, a, order) is not Ordering.GREATER
+    assert compare(a, a, order) is not Ordering.LESS
 
 
 @given(rows=st.lists(vectors, min_size=1, max_size=12), t=vectors, order=orders)
@@ -95,8 +93,8 @@ def test_indicator_below_matches_scalar_compare(rows, t, order):
     arr = np.asarray(rows, dtype=float)
     strict, weak = indicator_below(arr, t, order)
     for i, row in enumerate(rows):
-        assert bool(strict[i]) == strictly_precedes(row, t, order)
-        assert bool(weak[i]) == precedes_or_equal(row, t, order)
+        assert bool(strict[i]) == (compare(row, t, order) is Ordering.LESS)
+        assert bool(weak[i]) == (compare(row, t, order) is not Ordering.GREATER)
     assert np.all(weak >= strict)
 
 

@@ -1,4 +1,13 @@
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
 import pocause
+
+PACKAGE_DIR = Path(pocause.__file__).parent
+MODULES = sorted(p.stem for p in PACKAGE_DIR.glob("*.py") if p.stem != "__init__")
 
 
 def test_public_names_resolve_once():
@@ -6,3 +15,19 @@ def test_public_names_resolve_once():
     assert len(names) == len(set(names))
     missing = [name for name in names if not hasattr(pocause, name)]
     assert missing == []
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_imports_on_its_own(module):
+    """Each module, imported first in a fresh interpreter and without the
+    package's __init__ having imported the others, finds everything it
+    needs: no two modules import names from each other."""
+    code = (
+        "import importlib, sys, types\n"
+        "pkg = types.ModuleType('pocause')\n"
+        f"pkg.__path__ = [{str(PACKAGE_DIR)!r}]\n"
+        "sys.modules['pocause'] = pkg\n"
+        f"importlib.import_module('pocause.{module}')\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr

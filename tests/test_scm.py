@@ -8,6 +8,7 @@ from pocause import (
     CfClause,
     ConfigError,
     CounterfactualEvent,
+    EstimatorConfig,
     NoSupportError,
     TabularMean,
     TreatmentPolicy,
@@ -22,6 +23,7 @@ from pocause import (
     packaged_spec_path,
     scm_from_dict,
     simulate,
+    validate_spec,
 )
 
 ORACLE_SIGMAS = 4.0
@@ -183,6 +185,31 @@ def test_flipped_model_reports_large_violation():
     report = check_monotonicity(spec, thresholds, pairs=pairs, n_mc=20_000, seed=2)
     assert report.max_violation >= 0.05
     assert report.at_pair is not None
+
+
+@pytest.mark.parametrize("n_mc", [0, -3])
+def test_monotonicity_check_needs_a_positive_size(n_mc):
+    spec = _spec("additive_scalar")
+    thresholds, pairs = monotonicity_probe(spec, n_thresholds=4, n_pilot=100, seed=2)
+    with pytest.raises(ConfigError, match="positive Monte Carlo size"):
+        check_monotonicity(spec, thresholds, pairs=pairs, n_mc=n_mc, seed=2)
+
+
+def test_validate_spec_on_nonmono_fires_both_alarms():
+    checks = validate_spec(
+        _spec("nonmono"), n=6000, n_mc=20_000, grid=8, n_u=8,
+        config=EstimatorConfig(method="empirical"), seed=3,
+    )
+    assert all(
+        set(row) == {"name", "status", "observed", "band", "detail"} for row in checks
+    )
+    status = {row["name"]: row["status"] for row in checks}
+    assert status["monotonicity_alarm"] == "pass"
+    assert status["crossing_alarm"] == "pass"
+    vs_oracle = [name for name in status if name.endswith("_vs_oracle")]
+    assert vs_oracle and all(status[name] in ("pass", "xfail") for name in vs_oracle)
+    # No evidence or chain checks: they rest on the monotonicity it lacks.
+    assert set(status) == set(vs_oracle) | {"monotonicity_alarm", "crossing_alarm"}
 
 
 def test_trajectories_monotone_never_cross():
