@@ -31,14 +31,6 @@ def _asset(subdir: str, name: str, label: str):
     return candidate
 
 
-def bundled_spec_names() -> tuple[str, ...]:
-    return _names("specs")
-
-
-def bundled_query_names() -> tuple[str, ...]:
-    return _names("queries")
-
-
 def packaged_spec_path(name: str):
     """Filesystem path of a bundled structural model, by bare name."""
     return _asset("specs", name, "model")

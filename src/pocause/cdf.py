@@ -68,19 +68,13 @@ def _sigmoid(eta: np.ndarray) -> np.ndarray:
     return out
 
 
-def fit_logistic(
-    features,
-    labels,
-    *,
-    ridge: float = 0.0,
-    tol: float = IRLS_TOL,
-    max_iter: int = IRLS_MAX_ITER,
-) -> LogisticModel:
+def fit_logistic(features, labels, *, ridge: float = 0.0) -> LogisticModel:
     """Newton / IRLS fit of a binary logistic regression.
 
     The intercept is never penalized; ridge applies to the feature
     coefficients only, as 0.5 * ridge * ||coef||^2 subtracted from the
-    log-likelihood. Convergence is a sup-norm gradient test at tol.
+    log-likelihood. Convergence is a sup-norm gradient test at IRLS_TOL,
+    within IRLS_MAX_ITER Newton steps.
 
     Raises SeparationError when the labels are all 0 or all 1 (the MLE
     intercept is infinite, ridge or not) and when the iterates walk off to
@@ -114,15 +108,14 @@ def fit_logistic(
     # Warm-start the intercept at the marginal log-odds.
     beta[0] = float(np.log(mean_y / (1.0 - mean_y)))
 
-    n_iter = 0
-    converged = False
-    for n_iter in range(1, max_iter + 1):
+    # n_iter counts the Newton steps taken; the gradient is tested once
+    # more after the last allowed step.
+    for n_iter in range(IRLS_MAX_ITER + 1):
         eta = design @ beta
         prob = _sigmoid(eta)
         grad = design.T @ (y - prob) - penalty * beta
-        if float(np.max(np.abs(grad))) <= tol:
-            converged = True
-            n_iter -= 1
+        converged = float(np.max(np.abs(grad))) <= IRLS_TOL
+        if converged or n_iter == IRLS_MAX_ITER:
             break
         w = prob * (1.0 - prob)
         hess = design.T @ (design * w[:, None]) + np.diag(penalty)
@@ -130,7 +123,7 @@ def fit_logistic(
             step = np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError as exc:
             raise SingularError(
-                f"IRLS normal equations singular at iteration {n_iter}"
+                f"IRLS normal equations singular at iteration {n_iter + 1}"
             ) from exc
         beta = beta + step
         if float(np.max(np.abs(beta))) > 1e8:
@@ -138,17 +131,11 @@ def fit_logistic(
                 "IRLS iterates diverged; labels look perfectly separated"
             )
 
-    if not converged:
-        eta = design @ beta
-        prob = _sigmoid(eta)
-        grad = design.T @ (y - prob) - penalty * beta
-        if float(np.max(np.abs(grad))) <= tol:
-            converged = True
-        elif float(np.max(prob * (1.0 - prob))) < 1e-12:
-            raise SeparationError(
-                f"no convergence in {max_iter} iterations and all fitted "
-                "probabilities are saturated; labels look perfectly separated"
-            )
+    if not converged and float(np.max(prob * (1.0 - prob))) < 1e-12:
+        raise SeparationError(
+            f"no convergence in {IRLS_MAX_ITER} iterations and all fitted "
+            "probabilities are saturated; labels look perfectly separated"
+        )
 
     return LogisticModel(
         coefficients=beta[1:].copy(),
@@ -272,15 +259,11 @@ class LogisticCdf(_ThresholdCdf):
             return rate, [f"indicator is constant {int(rate)}; using it directly"]
         notes = []
         try:
-            model = fit_logistic(
-                self._xc, labels, ridge=self.ridge, tol=IRLS_TOL, max_iter=IRLS_MAX_ITER
-            )
+            model = fit_logistic(self._xc, labels, ridge=self.ridge)
         except SeparationError:
             fallback = max(self.ridge, RIDGE_FALLBACK)
             notes.append(f"separation; refitted with ridge {fallback:g}")
-            model = fit_logistic(
-                self._xc, labels, ridge=fallback, tol=IRLS_TOL, max_iter=IRLS_MAX_ITER
-            )
+            model = fit_logistic(self._xc, labels, ridge=fallback)
         if not model.converged:
             notes.append(
                 f"IRLS stopped unconverged after {model.n_iter} "

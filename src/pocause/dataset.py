@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, MissingValueError, SchemaError
+from .errors import ConfigError, DataError, MissingValueError, SchemaError
 
 ROLES = ("outcome", "treatment", "covariate", "ignored")
 KINDS = ("numeric", "categorical")
@@ -186,6 +186,14 @@ class DataTable:
         )
 
 
+def _check_delimiter(delimiter) -> None:
+    """Reject a delimiter the csv module cannot use, before any file is opened."""
+    try:
+        csv.reader([], delimiter=delimiter)
+    except TypeError:
+        raise ConfigError(f"delimiter must be one character, got {delimiter!r}") from None
+
+
 def load_table(path, schema: TableSchema, delimiter: str = ";") -> DataTable:
     """Read a delimited text file into a DataTable under the given schema.
 
@@ -193,6 +201,7 @@ def load_table(path, schema: TableSchema, delimiter: str = ";") -> DataTable:
     schema columns missing from the file are an error. Cell failures are
     reported with the file line number (header is line 1) and column name.
     """
+    _check_delimiter(delimiter)
     wanted = {v.name: v for v in schema.variables if v.role != "ignored"}
     try:
         fh = open(path, newline="", encoding="utf-8")
@@ -266,6 +275,7 @@ def load_table(path, schema: TableSchema, delimiter: str = ";") -> DataTable:
 def save_table(table: DataTable, path, delimiter: str = ";") -> None:
     """Write a DataTable back to disk. Loading the result under the same
     schema reproduces the columns and codes exactly."""
+    _check_delimiter(delimiter)
     names = [v.name for v in table.schema.variables if v.name in table.columns]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, delimiter=delimiter)

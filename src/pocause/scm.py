@@ -28,7 +28,7 @@ oracle call reproducible from a single seed regardless of call order.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from itertools import chain, combinations
 
 import numpy as np
@@ -92,13 +92,40 @@ def _match_rows(rows: np.ndarray, levels: np.ndarray, what: str) -> np.ndarray:
     return eq.argmax(axis=1)
 
 
+def _check_distinct(rows: np.ndarray, what: str) -> None:
+    """Reject repeated rows, compared by value as _match_rows compares
+    them: adding 0.0 turns -0.0 into 0.0, after which equal finite values
+    have equal bytes. (Bytes, not tuples of floats, keep a large support's
+    check from raising the peak memory.)"""
+    if len({row.tobytes() for row in rows + 0.0}) != rows.shape[0]:
+        raise ConfigError(f"{what} contains duplicate rows")
+
+
 # ---------------------------------------------------------------------------
 # Mechanism pieces.
 # ---------------------------------------------------------------------------
 
 
+class _Piece:
+    """A model-spec piece whose dataclass fields are its JSON keys."""
+
+    def as_dict(self) -> dict:
+        """The kind, for a piece that has one, then every field: arrays as
+        nested lists, nested pieces and orders by their own as_dict."""
+        kind = _KINDS.get(type(self))
+        out = {} if kind is None else {"kind": kind}
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if isinstance(v, np.ndarray):
+                v = v.tolist()
+            elif hasattr(v, "as_dict"):
+                v = v.as_dict()
+            out[f.name] = v
+        return out
+
+
 @dataclass(frozen=True)
-class LinearMean:
+class LinearMean(_Piece):
     """Outcome location A x + B c + b."""
 
     treat_coef: tuple  # (n_outcomes, n_treatments)
@@ -141,17 +168,9 @@ class LinearMean:
             out = out + C @ self.cov_coef.T
         return out
 
-    def as_dict(self) -> dict:
-        return {
-            "kind": "linear",
-            "treat_coef": self.treat_coef.tolist(),
-            "cov_coef": self.cov_coef.tolist(),
-            "intercept": self.intercept.tolist(),
-        }
-
 
 @dataclass(frozen=True)
-class TabularMean:
+class TabularMean(_Piece):
     """Discrete mechanism: a scalar uniform latent cut into outcome levels.
 
     For each (x, c) cell, cuts[ix, ic] splits (0, 1) into len(levels)
@@ -161,15 +180,13 @@ class TabularMean:
     """
 
     x_levels: tuple   # (n_x, n_treatments)
-    c_levels: tuple   # (n_c, n_covariates); one empty row when no covariates
+    c_levels: tuple | None  # (n_c, n_covariates); None or empty: no covariates
     cuts: tuple       # (n_x, n_c, n_states - 1), nondecreasing in (0, 1)
     levels: tuple     # (n_states, n_outcomes)
 
     def __post_init__(self):
         xl = _matrix(self.x_levels, "x_levels")
-        cl = np.asarray(self.c_levels, dtype=float)
-        if cl.ndim == 1 and cl.size == 0:
-            cl = np.zeros((1, 0))
+        cl = np.asarray([] if self.c_levels is None else self.c_levels, dtype=float)
         cl = cl if cl.size or cl.shape[0] else np.zeros((1, 0))
         if cl.ndim != 2:
             raise ConfigError(f"c_levels must be 2-d, got shape {cl.shape}")
@@ -189,10 +206,9 @@ class TabularMean:
             raise ConfigError("cuts must lie in [0, 1]")
         if np.any(np.diff(cuts, axis=2) < 0):
             raise ConfigError("cuts must be nondecreasing within each (x, c) cell")
-        if len({row.tobytes() for row in xl}) != xl.shape[0]:
-            raise ConfigError("x_levels contains duplicate rows")
-        if cl.shape[1] and len({row.tobytes() for row in cl}) != cl.shape[0]:
-            raise ConfigError("c_levels contains duplicate rows")
+        _check_distinct(xl, "x_levels")
+        if cl.shape[1]:
+            _check_distinct(cl, "c_levels")
         object.__setattr__(self, "x_levels", xl)
         object.__setattr__(self, "c_levels", cl)
         object.__setattr__(self, "cuts", cuts)
@@ -233,18 +249,9 @@ class TabularMean:
         edges = np.concatenate(([0.0], self.cuts[ix, ic], [1.0]))
         return np.diff(edges)
 
-    def as_dict(self) -> dict:
-        return {
-            "kind": "tabular",
-            "x_levels": self.x_levels.tolist(),
-            "c_levels": self.c_levels.tolist(),
-            "cuts": self.cuts.tolist(),
-            "levels": self.levels.tolist(),
-        }
-
 
 @dataclass(frozen=True)
-class UniformBox:
+class UniformBox(_Piece):
     lo: tuple
     hi: tuple
 
@@ -266,12 +273,9 @@ class UniformBox:
     def contains(self, u: np.ndarray) -> bool:
         return bool(np.all(u >= self.lo) and np.all(u <= self.hi))
 
-    def as_dict(self) -> dict:
-        return {"kind": "uniform_box", "lo": self.lo.tolist(), "hi": self.hi.tolist()}
-
 
 @dataclass(frozen=True)
-class GaussianDiag:
+class GaussianDiag(_Piece):
     mean: tuple
     sd: tuple
 
@@ -293,12 +297,9 @@ class GaussianDiag:
     def contains(self, u: np.ndarray) -> bool:
         return True
 
-    def as_dict(self) -> dict:
-        return {"kind": "gaussian_diag", "mean": self.mean.tolist(), "sd": self.sd.tolist()}
-
 
 @dataclass(frozen=True)
-class Additive:
+class Additive(_Piece):
     """Latent enters as-is: monotone by construction."""
 
     def sign(self, X: np.ndarray) -> np.ndarray:
@@ -307,12 +308,9 @@ class Additive:
     def u_transform(self, X: np.ndarray, u: np.ndarray) -> np.ndarray:
         return u
 
-    def as_dict(self) -> dict:
-        return {"kind": "additive"}
-
 
 @dataclass(frozen=True)
-class NonMonotoneTest:
+class NonMonotoneTest(_Piece):
     """Reverses the latent's direction once x[0] reaches flip_at.
 
     Linear mechanisms get Y = mean - U on the flipped side; tabular ones
@@ -335,12 +333,9 @@ class NonMonotoneTest:
         flipped = X[:, 0] >= self.flip_at
         return np.where(flipped[:, None] if u.ndim == 2 else flipped, 1.0 - u, u)
 
-    def as_dict(self) -> dict:
-        return {"kind": "nonmonotone_test", "flip_at": self.flip_at}
-
 
 @dataclass(frozen=True)
-class TreatmentPolicy:
+class TreatmentPolicy(_Piece):
     """Softmax choice over a finite treatment support, driven by covariates only."""
 
     support: tuple    # (n_levels, n_treatments)
@@ -352,8 +347,7 @@ class TreatmentPolicy:
         lg = _vector(self.logits, "policy logits")
         if sup.shape[0] != lg.size or sup.shape[0] == 0:
             raise ConfigError("policy support and logits disagree on the level count")
-        if len({row.tobytes() for row in sup}) != sup.shape[0]:
-            raise ConfigError("policy support contains duplicate rows")
+        _check_distinct(sup, "policy support")
         cl = self.covariate_logits
         if cl is not None:
             cl = _matrix(cl, "covariate_logits")
@@ -391,16 +385,9 @@ class TreatmentPolicy:
             idx += cum[inv, level] <= u
         return self.support[idx]
 
-    def as_dict(self) -> dict:
-        out = {"support": self.support.tolist(), "logits": self.logits.tolist()}
-        out["covariate_logits"] = (
-            None if self.covariate_logits is None else self.covariate_logits.tolist()
-        )
-        return out
-
 
 @dataclass(frozen=True)
-class CovariateDist:
+class CovariateDist(_Piece):
     support: tuple  # (n_profiles, n_covariates)
     probs: tuple    # (n_profiles,)
 
@@ -411,8 +398,7 @@ class CovariateDist:
             raise ConfigError("covariate support and probs disagree on the profile count")
         if np.any(p < 0) or abs(p.sum() - 1.0) > 1e-9:
             raise ConfigError("covariate probs must be nonnegative and sum to 1")
-        if len({row.tobytes() for row in sup}) != sup.shape[0]:
-            raise ConfigError("covariate support contains duplicate rows")
+        _check_distinct(sup, "covariate support")
         object.__setattr__(self, "support", sup)
         object.__setattr__(self, "probs", p / p.sum())
 
@@ -427,9 +413,6 @@ class CovariateDist:
         )
         return self.support[idx]
 
-    def as_dict(self) -> dict:
-        return {"support": self.support.tolist(), "probs": self.probs.tolist()}
-
 
 # ---------------------------------------------------------------------------
 # The assembled model.
@@ -437,7 +420,7 @@ class CovariateDist:
 
 
 @dataclass(frozen=True)
-class ScmSpec:
+class ScmSpec(_Piece):
     mean: LinearMean | TabularMean
     noise: UniformBox | GaussianDiag
     coupling: Additive | NonMonotoneTest
@@ -525,96 +508,57 @@ class ScmSpec:
         mu = self.mean.value(X, C)
         return mu + self.coupling.sign(X)[:, None] * U
 
-    def as_dict(self) -> dict:
-        return {
-            "mean": self.mean.as_dict(),
-            "noise": self.noise.as_dict(),
-            "coupling": self.coupling.as_dict(),
-            "policy": self.policy.as_dict(),
-            "covariates": None if self.covariates is None else self.covariates.as_dict(),
-            "order": None if self.order is None else self.order.as_dict(),
-        }
+
+_PIECES = {
+    "mean": {"linear": LinearMean, "tabular": TabularMean},
+    "noise": {"uniform_box": UniformBox, "gaussian_diag": GaussianDiag},
+    "coupling": {"additive": Additive, "nonmonotone_test": NonMonotoneTest},
+    "policy": TreatmentPolicy,
+    "covariates": CovariateDist,
+}
+_KINDS = {
+    cls: kind
+    for kinds in _PIECES.values() if isinstance(kinds, dict)
+    for kind, cls in kinds.items()
+}
+
+
+def _piece_from_dict(section: str, obj):
+    """One model-spec piece from its JSON object: a kind, for the sections
+    that have several, and then the piece's fields. A field left out takes
+    its dataclass default, or None."""
+    obj = dict(obj)
+    cls = _PIECES[section]
+    if isinstance(cls, dict):
+        kind = obj.pop("kind", None)
+        if not isinstance(kind, str) or kind not in cls:
+            raise ConfigError(f"unknown {section} kind {kind!r}")
+        cls = cls[kind]
+    # The piece checks its values before stray keys are rejected, so a bad
+    # value is reported ahead of an unknown field.
+    piece = cls(**{
+        f.name: obj.pop(f.name, None)
+        for f in fields(cls) if f.name in obj or f.default is MISSING
+    })
+    if obj:
+        raise ConfigError(f"unknown {section} fields: {sorted(obj)}")
+    return piece
 
 
 def scm_from_dict(obj: dict) -> ScmSpec:
     if not isinstance(obj, dict):
         raise ConfigError(f"model spec must be a JSON object, got {type(obj).__name__}")
-    extra = set(obj) - {"mean", "noise", "coupling", "policy", "covariates", "order"}
+    extra = set(obj) - {f.name for f in fields(ScmSpec)}
     if extra:
         raise ConfigError(f"unknown model spec fields: {sorted(extra)}")
     for key in ("mean", "noise", "policy"):
         if not isinstance(obj.get(key), dict):
             raise ConfigError(f"model spec needs a {key!r} object")
-
-    mean_obj = dict(obj["mean"])
-    mean_kind = mean_obj.pop("kind", None)
-    if mean_kind == "linear":
-        mean = LinearMean(
-            treat_coef=mean_obj.pop("treat_coef", None),
-            cov_coef=mean_obj.pop("cov_coef", None),
-            intercept=mean_obj.pop("intercept", None),
-        )
-    elif mean_kind == "tabular":
-        mean = TabularMean(
-            x_levels=mean_obj.pop("x_levels", None),
-            c_levels=mean_obj.pop("c_levels", []),
-            cuts=mean_obj.pop("cuts", None),
-            levels=mean_obj.pop("levels", None),
-        )
-    else:
-        raise ConfigError(f"unknown mean kind {mean_kind!r}")
-    if mean_obj:
-        raise ConfigError(f"unknown mean fields: {sorted(mean_obj)}")
-
-    noise_obj = dict(obj["noise"])
-    noise_kind = noise_obj.pop("kind", None)
-    if noise_kind == "uniform_box":
-        noise = UniformBox(lo=noise_obj.pop("lo", None), hi=noise_obj.pop("hi", None))
-    elif noise_kind == "gaussian_diag":
-        noise = GaussianDiag(mean=noise_obj.pop("mean", None), sd=noise_obj.pop("sd", None))
-    else:
-        raise ConfigError(f"unknown noise kind {noise_kind!r}")
-    if noise_obj:
-        raise ConfigError(f"unknown noise fields: {sorted(noise_obj)}")
-
-    coupling_obj = dict(obj.get("coupling") or {"kind": "additive"})
-    coupling_kind = coupling_obj.pop("kind", None)
-    if coupling_kind == "additive":
-        coupling = Additive()
-    elif coupling_kind == "nonmonotone_test":
-        coupling = NonMonotoneTest(flip_at=coupling_obj.pop("flip_at", 0.5))
-    else:
-        raise ConfigError(f"unknown coupling kind {coupling_kind!r}")
-    if coupling_obj:
-        raise ConfigError(f"unknown coupling fields: {sorted(coupling_obj)}")
-
-    pol = dict(obj["policy"])
-    policy = TreatmentPolicy(
-        support=pol.pop("support", None),
-        logits=pol.pop("logits", None),
-        covariate_logits=pol.pop("covariate_logits", None),
-    )
-    if pol:
-        raise ConfigError(f"unknown policy fields: {sorted(pol)}")
-
-    covariates = None
-    if obj.get("covariates") is not None:
-        cov = dict(obj["covariates"])
-        covariates = CovariateDist(
-            support=cov.pop("support", None), probs=cov.pop("probs", None)
-        )
-        if cov:
-            raise ConfigError(f"unknown covariates fields: {sorted(cov)}")
-
+    # A missing, null or empty coupling is additive.
+    obj = dict(obj, coupling=obj.get("coupling") or {"kind": "additive"})
+    pieces = {s: _piece_from_dict(s, obj[s]) for s in _PIECES if obj.get(s) is not None}
     order = order_from_dict(obj["order"]) if obj.get("order") is not None else None
-    return ScmSpec(
-        mean=mean,
-        noise=noise,
-        coupling=coupling,
-        policy=policy,
-        covariates=covariates,
-        order=order,
-    )
+    return ScmSpec(**pieces, order=order)
 
 
 def load_scm(path) -> ScmSpec:
@@ -1016,7 +960,8 @@ def _trajectory_grid(spec: ScmSpec, size: int) -> np.ndarray:
         levels = spec.mean.x_levels
         return levels[np.lexsort(tuple(levels[:, j] for j in range(levels.shape[1] - 1, -1, -1)))]
     sup = spec.policy.support
-    return np.linspace(sup.min(axis=0), sup.max(axis=0), size)
+    # A size below 2 gives too few rows, which export_trajectories rejects.
+    return np.linspace(sup.min(axis=0), sup.max(axis=0), max(size, 0))
 
 
 def validate_spec(

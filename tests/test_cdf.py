@@ -66,6 +66,27 @@ def test_diverging_iterates_raise_separation():
     assert np.isfinite(model.coefficients).all()
 
 
+def test_fit_logistic_reads_the_iteration_cap(monkeypatch):
+    """The cap is read at call time, and the gradient is tested once more
+    after the last allowed step: a cap equal to the steps a fit needs still
+    converges, one step fewer stops unconverged."""
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(400, 3))
+    y = (rng.random(400) < 1 / (1 + np.exp(-x[:, 0]))).astype(float)
+    full = fit_logistic(x, y)
+    assert full.converged and full.n_iter >= 2
+    monkeypatch.setattr(cdf, "IRLS_MAX_ITER", full.n_iter)
+    capped = fit_logistic(x, y)
+    assert capped.converged and capped.n_iter == full.n_iter
+    np.testing.assert_array_equal(capped.coefficients, full.coefficients)
+    monkeypatch.setattr(cdf, "IRLS_MAX_ITER", full.n_iter - 1)
+    short = fit_logistic(x, y)
+    assert not short.converged and short.n_iter == full.n_iter - 1
+    monkeypatch.setattr(cdf, "IRLS_MAX_ITER", 0)
+    start = fit_logistic(x, y)
+    assert not start.converged and start.n_iter == 0
+
+
 def test_ridge_shrinks_slopes_not_intercept():
     rng = np.random.default_rng(9)
     x = rng.normal(size=(600, 2))

@@ -178,6 +178,41 @@ def test_validate_rejects_a_nonpositive_oracle_size(n_mc, capsys):
     assert err["error"]["type"] == "ConfigError"
 
 
+@pytest.mark.parametrize("command", ["trajectories", "validate"])
+def test_negative_grid_is_a_config_error(command, tmp_path, capsys):
+    args = [command, "--spec", "additive_scalar", "--grid", "-1", "--n-u", "4", "--seed", "3"]
+    if command == "trajectories":
+        args += ["--out", str(tmp_path / "curves.csv")]
+    else:
+        args += ["--n", "2000", "--n-mc", "2000"]
+    assert main(args) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "ConfigError"
+
+
+def test_tabular_trajectories_ignore_the_grid_size(tmp_path, capsys):
+    out = tmp_path / "curves.csv"
+    code = main([
+        "trajectories", "--spec", "tabular", "--grid", "-1", "--n-u", "4",
+        "--seed", "2", "--out", str(out),
+    ])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["grid"] == 2
+
+
+@pytest.mark.parametrize("command", ["simulate", "estimate"])
+def test_multi_character_delimiter_is_a_config_error(command, workdir, capsys):
+    sim = workdir / "sim.csv"
+    if command == "simulate":
+        args = ["simulate", "--spec", "additive_scalar", "--n", "10", "--out", str(sim)]
+    else:
+        args = _estimate_args(workdir)
+    assert main([*args, "--delimiter", ";;"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "ConfigError"
+    assert not sim.exists()
+
+
 def test_missing_data_file_is_a_config_error(workdir, capsys):
     code = main([
         "estimate", "--data", str(workdir / "absent.csv"),

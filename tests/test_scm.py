@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from pocause import (
     CfClause,
     ConfigError,
     CounterfactualEvent,
+    CovariateDist,
     EstimatorConfig,
     NoSupportError,
     TabularMean,
@@ -164,11 +166,122 @@ def test_spec_json_round_trip(name):
     assert clone.as_dict() == spec.as_dict()
 
 
-def test_spec_rejects_unknown_fields():
-    obj = json.load(open(packaged_spec_path("additive_scalar"), encoding="utf-8"))
-    obj["bonus"] = True
-    with pytest.raises(ConfigError, match="bonus"):
+_DROP = object()
+
+
+@pytest.mark.parametrize(
+    "section, key, value, message",
+    [
+        pytest.param(None, "bonus", True, "unknown model spec fields: ['bonus']", id="spec-field"),
+        pytest.param(None, "mean", _DROP, "model spec needs a 'mean' object", id="spec-no-mean"),
+        pytest.param(None, "noise", _DROP, "model spec needs a 'noise' object", id="spec-no-noise"),
+        pytest.param(None, "policy", [], "model spec needs a 'policy' object", id="spec-policy-list"),
+        pytest.param("mean", "kind", "quadratic", "unknown mean kind 'quadratic'", id="mean-kind"),
+        pytest.param("noise", "kind", _DROP, "unknown noise kind None", id="noise-no-kind"),
+        pytest.param(
+            "coupling", "kind", "multiplicative", "unknown coupling kind 'multiplicative'",
+            id="coupling-kind",
+        ),
+        pytest.param("mean", "bonus", 1, "unknown mean fields: ['bonus']", id="mean-field"),
+        pytest.param("noise", "bonus", 1, "unknown noise fields: ['bonus']", id="noise-field"),
+        pytest.param(
+            "coupling", "flip_at", 0.3, "unknown coupling fields: ['flip_at']",
+            id="coupling-field",
+        ),
+        pytest.param("policy", "bonus", 1, "unknown policy fields: ['bonus']", id="policy-field"),
+        pytest.param(
+            "covariates", "bonus", 1, "unknown covariates fields: ['bonus']",
+            id="covariates-field",
+        ),
+        pytest.param("policy", "kind", "softmax", "unknown policy fields: ['kind']", id="policy-kind"),
+        pytest.param(
+            "covariates", "kind", "discrete", "unknown covariates fields: ['kind']",
+            id="covariates-kind",
+        ),
+    ],
+)
+def test_spec_rejects_unknown_fields(section, key, value, message):
+    obj = json.load(open(packaged_spec_path("lexi2"), encoding="utf-8"))
+    target = obj if section is None else obj[section]
+    if value is _DROP:
+        del target[key]
+    else:
+        target[key] = value
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         scm_from_dict(obj)
+
+
+@pytest.mark.parametrize(
+    "coupling",
+    [
+        pytest.param(None, id="coupling-omitted"),
+        pytest.param({"kind": "nonmonotone_test"}, id="flip-at-omitted"),
+    ],
+)
+def test_spec_round_trip_fills_defaults(coupling):
+    """Omitted optional keys read as their defaults and are written out."""
+    obj = {
+        "mean": {
+            "kind": "tabular",
+            "x_levels": [[0.0], [1.0]],
+            "cuts": [[[0.5]], [[0.3]]],
+            "levels": [[0.0], [1.0]],
+        },
+        "noise": {"kind": "uniform_box", "lo": [0.0], "hi": [1.0]},
+        "policy": {"support": [[0.0], [1.0]], "logits": [0.0, 0.0]},
+    }
+    if coupling is not None:
+        obj["coupling"] = coupling
+    full = {
+        "mean": {**obj["mean"], "c_levels": [[]]},
+        "noise": obj["noise"],
+        "coupling": (
+            {"kind": "additive"} if coupling is None
+            else {"kind": "nonmonotone_test", "flip_at": 0.5}
+        ),
+        "policy": {**obj["policy"], "covariate_logits": None},
+        "covariates": None,
+        "order": None,
+    }
+    raw = scm_from_dict(obj).as_dict()
+    assert raw == full
+    assert list(raw) == list(full)
+    assert list(raw["mean"]) == ["kind", "x_levels", "c_levels", "cuts", "levels"]
+    assert scm_from_dict(json.loads(json.dumps(raw))).as_dict() == full
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(
+            lambda: TabularMean(
+                x_levels=[[0.0], [-0.0]], c_levels=[], cuts=[[[0.5]], [[0.5]]],
+                levels=[[0.0], [1.0]],
+            ),
+            id="x_levels",
+        ),
+        pytest.param(
+            lambda: TabularMean(
+                x_levels=[[1.0]], c_levels=[[0.0], [-0.0]], cuts=[[[0.5], [0.5]]],
+                levels=[[0.0], [1.0]],
+            ),
+            id="c_levels",
+        ),
+        pytest.param(
+            lambda: TreatmentPolicy(support=[[0.0], [-0.0]], logits=[0.0, 0.0]),
+            id="policy-support",
+        ),
+        pytest.param(
+            lambda: CovariateDist(support=[[0.0], [-0.0]], probs=[0.5, 0.5]),
+            id="covariate-support",
+        ),
+    ],
+)
+def test_negative_zero_rows_are_duplicates(make):
+    """0.0 and -0.0 are one value wherever rows are matched, so a support
+    or level table listing both repeats a row."""
+    with pytest.raises(ConfigError, match="contains duplicate rows"):
+        make()
 
 
 def test_monotone_model_reports_zero_violation():
