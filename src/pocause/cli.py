@@ -147,7 +147,7 @@ def _cmd_simulate(args) -> int:
             json.dump(table.schema.as_dict(), fh, indent=2)
             fh.write("\n")
         summary["schema_path"] = str(args.schema_out)
-    sys.stdout.write(json.dumps(summary, indent=2) + "\n")
+    _emit(summary, None)
     return EXIT_OK
 
 
@@ -197,19 +197,16 @@ def _cmd_trajectories(args) -> int:
                     + [repr(float(v)) for v in traj.x_grid[g]]
                     + [repr(float(v)) for v in traj.outcomes[i, g]]
                 )
-    sys.stdout.write(
-        json.dumps(
-            {
-                "command": "trajectories",
-                "n_u": traj.outcomes.shape[0],
-                "grid": traj.x_grid.shape[0],
-                "crossing_count": traj.crossing_count,
-                "seed": seed,
-                "path": str(args.out),
-            },
-            indent=2,
-        )
-        + "\n"
+    _emit(
+        {
+            "command": "trajectories",
+            "n_u": traj.outcomes.shape[0],
+            "grid": traj.x_grid.shape[0],
+            "crossing_count": traj.crossing_count,
+            "seed": seed,
+            "path": str(args.out),
+        },
+        None,
     )
     return EXIT_OK
 

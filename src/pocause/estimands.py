@@ -133,6 +133,12 @@ def pns_evidence_point(
     """
     r0 = _prob(rho0, "rho0")
     r1 = _prob(rho1, "rho1")
+    return _given_evidence(r0, r1, evidence_strict, evidence_weak, atom_tol)
+
+
+def _given_evidence(hi, lo, evidence_strict, evidence_weak, atom_tol) -> tuple[float, str]:
+    """The flip interval [lo, hi) of latent CDF values, conditioned on the
+    evidence CDF pair, as (value, case)."""
     ev_s = _prob(evidence_strict, "evidence_strict")
     ev_w = _prob(evidence_weak, "evidence_weak")
     if ev_s > ev_w:
@@ -144,9 +150,9 @@ def pns_evidence_point(
         raise ConfigError(f"atom_tol must be >= 0, got {atom_tol}")
     beta = ev_w - ev_s
     if beta > atom_tol:
-        alpha = min(r0, ev_w) - max(r1, ev_s)
+        alpha = min(hi, ev_w) - max(lo, ev_s)
         return max(alpha / beta, 0.0), "evidence_case_a"
-    return (1.0 if (r1 <= ev_s < r0) else 0.0), "evidence_case_b"
+    return (1.0 if (lo <= ev_s < hi) else 0.0), "evidence_case_b"
 
 
 def _multi_vectors(rho_upper, rho_lower) -> tuple[np.ndarray, np.ndarray]:
@@ -184,22 +190,9 @@ def pns_multi_evidence_point(
 ) -> tuple[float, str]:
     """Chain flip probability given an observed outcome, as (value, case)."""
     up, lo = _multi_vectors(rho_upper, rho_lower)
-    ev_s = _prob(evidence_strict, "evidence_strict")
-    ev_w = _prob(evidence_weak, "evidence_weak")
-    if ev_s > ev_w:
-        raise ConfigError(
-            f"evidence strict CDF {ev_s} exceeds weak CDF {ev_w}; "
-            "the estimator should have clipped this"
-        )
-    if float(atom_tol) < 0:
-        raise ConfigError(f"atom_tol must be >= 0, got {atom_tol}")
-    hi = float(np.min(up))
-    lo_max = float(np.max(lo))
-    beta = ev_w - ev_s
-    if beta > atom_tol:
-        gamma = min(hi, ev_w) - max(lo_max, ev_s)
-        return max(gamma / beta, 0.0), "evidence_case_a"
-    return (1.0 if (lo_max <= ev_s < hi) else 0.0), "evidence_case_b"
+    return _given_evidence(
+        float(np.min(up)), float(np.max(lo)), evidence_strict, evidence_weak, atom_tol
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,11 @@ families are provided:
 
 Comparisons use exact float equality throughout; there is no tolerance.
 Callers who want fuzzy thresholds should quantize before comparing.
+
+compare, ScalarScore.score and indicator_below all take batches: arrays of
+shape (..., d) hold one d-vector per position of their leading axes. A
+batch gives each of its vectors exactly the answer that vector gets on its
+own, so a vectorized caller and a loop over the same vectors agree.
 """
 
 from __future__ import annotations
@@ -38,13 +43,22 @@ class Ordering(enum.IntEnum):
 _DIRECTIONS = ("asc", "desc")
 
 
+def _as_batch(v, name: str) -> np.ndarray:
+    """v as a float array of d-vectors along its last axis, every one finite."""
+    arr = np.asarray(v, dtype=float)
+    if arr.ndim == 0:
+        raise ConfigError(f"{name} must be a vector or a batch of vectors, got shape ()")
+    finite = np.isfinite(arr).all(axis=-1)
+    if not finite.all():
+        raise ConfigError(f"{name} must be finite, got {arr[~finite][0].tolist()}")
+    return arr
+
+
 def _as_vector(v, name: str) -> np.ndarray:
     arr = np.asarray(v, dtype=float)
     if arr.ndim != 1:
         raise ConfigError(f"{name} must be a 1-d vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ConfigError(f"{name} must be finite, got {arr.tolist()}")
-    return arr
+    return _as_batch(arr, name)
 
 
 @dataclass(frozen=True)
@@ -110,15 +124,19 @@ class ScalarScore:
     def dimension(self) -> int:
         return len(self.weights)
 
-    def score(self, y) -> float:
-        arr = _as_vector(y, "outcome")
-        if arr.size != len(self.weights):
+    def score(self, y):
+        """The weighted sum of an outcome's components: a float for one
+        d-vector, an array over the leading axes for a (..., d) batch."""
+        arr = _as_batch(y, "outcome")
+        if arr.shape[-1] != len(self.weights):
             raise ConfigError(
-                f"outcome has {arr.size} components, order expects {len(self.weights)}"
+                f"outcome has {arr.shape[-1]} components, order expects {len(self.weights)}"
             )
-        # Elementwise multiply then sum, never a BLAS dot: the batch path in
-        # indicator_below must produce bit-identical scores or ties break.
-        return float((arr * np.asarray(self.weights)).sum())
+        # Elementwise multiply, then sum along contiguous rows; never a BLAS
+        # dot, and never a column-major product, whose sum runs in another
+        # order. Either would change the last bits and break ties.
+        scores = (np.ascontiguousarray(arr) * np.asarray(self.weights)).sum(axis=-1)
+        return float(scores) if arr.ndim == 1 else scores
 
     def as_dict(self) -> dict:
         return {"kind": "scalar_score", "weights": list(self.weights)}
@@ -158,30 +176,46 @@ def order_from_dict(obj: dict) -> OrderSpec:
     raise ConfigError(f"unknown order kind {kind!r}")
 
 
-def compare(a, b, order: OrderSpec) -> Ordering:
-    """Three-way comparison of two outcome vectors under the given order."""
-    va = _as_vector(a, "left outcome")
-    vb = _as_vector(b, "right outcome")
-    if va.size != vb.size:
-        raise ConfigError(f"cannot compare vectors of length {va.size} and {vb.size}")
+def compare(a, b, order: OrderSpec) -> Ordering | np.ndarray:
+    """Three-way comparison of outcome vectors under the given order.
+
+    a and b are d-vectors or (..., d) batches whose leading axes broadcast
+    against each other. Two d-vectors give one Ordering. Otherwise the
+    result is an int8 array over the broadcast leading axes, holding -1
+    where a's vector precedes b's, 0 where the order ties them and 1 where
+    it follows: at every position, the value of the Ordering that the two
+    vectors there give on their own.
+    """
+    va = _as_batch(a, "left outcome")
+    vb = _as_batch(b, "right outcome")
+    if va.shape[-1] != vb.shape[-1]:
+        raise ConfigError(
+            f"cannot compare vectors of length {va.shape[-1]} and {vb.shape[-1]}"
+        )
+    try:
+        shape = np.broadcast_shapes(va.shape[:-1], vb.shape[:-1])
+    except ValueError:
+        raise ConfigError(
+            f"cannot compare batches of shape {va.shape[:-1]} and {vb.shape[:-1]}"
+        ) from None
     if isinstance(order, ScalarScore):
         sa, sb = order.score(va), order.score(vb)
-        if sa < sb:
-            return Ordering.LESS
-        if sa > sb:
-            return Ordering.GREATER
-        return Ordering.EQUAL
-    if va.size != order.dimension:
-        raise ConfigError(
-            f"vectors have {va.size} components, order expects {order.dimension}"
-        )
-    for pos, direc in zip(order.priority, order.direction):
-        x, y = va[pos], vb[pos]
-        if x == y:
-            continue
-        ahead = x < y if direc == "asc" else x > y
-        return Ordering.LESS if ahead else Ordering.GREATER
-    return Ordering.EQUAL
+        sign = np.subtract(sa > sb, sa < sb, dtype=np.int8)
+    else:
+        if va.shape[-1] != order.dimension:
+            raise ConfigError(
+                f"vectors have {va.shape[-1]} components, order expects {order.dimension}"
+            )
+        # The first priority that differs decides, so each earlier one
+        # overrides the later ones wherever it differs.
+        sign = np.zeros(shape, dtype=np.int8)
+        for pos, direc in zip(reversed(order.priority), reversed(order.direction)):
+            x, y = va[..., pos], vb[..., pos]
+            s = np.subtract(x > y, x < y, dtype=np.int8)
+            sign = np.where(s != 0, s if direc == "asc" else -s, sign)
+    if va.ndim == 1 and vb.ndim == 1:
+        return Ordering(int(sign))
+    return sign
 
 
 def indicator_below(rows, threshold, order: OrderSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -204,20 +238,14 @@ def indicator_below(rows, threshold, order: OrderSpec) -> tuple[np.ndarray, np.n
             f"rows have {mat.shape[1]} components, threshold has {thr.size}"
         )
 
-    if isinstance(order, ScalarScore):
-        if thr.size != order.dimension:
-            raise ConfigError(
-                f"threshold has {thr.size} components, order expects {order.dimension}"
-            )
-        w = np.asarray(order.weights)
-        scores = (mat * w).sum(axis=1)
-        t = float((thr * w).sum())
-        return scores < t, scores <= t
-
     if thr.size != order.dimension:
         raise ConfigError(
             f"threshold has {thr.size} components, order expects {order.dimension}"
         )
+    if isinstance(order, ScalarScore):
+        scores, t = order.score(mat), order.score(thr)
+        return scores < t, scores <= t
+
     n = mat.shape[0]
     strict = np.zeros(n, dtype=bool)
     tied = np.ones(n, dtype=bool)

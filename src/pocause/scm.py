@@ -38,7 +38,6 @@ from .dataset import DataTable, TableSchema, Variable
 from .errors import ConfigError, NoSupportError, PocError
 from .estimands import EstimatorConfig, Evidence, PoCQuery, evaluate_query
 from .ordering import (
-    Lexicographic,
     Ordering,
     OrderSpec,
     ScalarScore,
@@ -473,13 +472,15 @@ class ScmSpec(_Piece):
                 f"outcomes have {m.n_outcomes}"
             )
         if isinstance(m, TabularMean):
-            eff = order if order is not None else lexicographic_default(m.n_outcomes)
-            for k in range(m.n_states - 1):
-                if compare(m.levels[k], m.levels[k + 1], eff) is not Ordering.LESS:
-                    raise ConfigError(
-                        f"tabular levels must ascend under the outcome order; "
-                        f"level {k} does not precede level {k + 1}"
-                    )
+            late = np.flatnonzero(
+                compare(m.levels[:-1], m.levels[1:], self.outcome_order) != Ordering.LESS
+            )
+            if late.size:
+                k = int(late[0])
+                raise ConfigError(
+                    f"tabular levels must ascend under the outcome order; "
+                    f"level {k} does not precede level {k + 1}"
+                )
 
     @property
     def n_outcomes(self) -> int:
@@ -527,6 +528,8 @@ def _piece_from_dict(section: str, obj):
     """One model-spec piece from its JSON object: a kind, for the sections
     that have several, and then the piece's fields. A field left out takes
     its dataclass default, or None."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"model spec needs a {section!r} object")
     obj = dict(obj)
     cls = _PIECES[section]
     if isinstance(cls, dict):
@@ -552,10 +555,11 @@ def scm_from_dict(obj: dict) -> ScmSpec:
     if extra:
         raise ConfigError(f"unknown model spec fields: {sorted(extra)}")
     for key in ("mean", "noise", "policy"):
-        if not isinstance(obj.get(key), dict):
+        if obj.get(key) is None:
             raise ConfigError(f"model spec needs a {key!r} object")
     # A missing, null or empty coupling is additive.
-    obj = dict(obj, coupling=obj.get("coupling") or {"kind": "additive"})
+    if obj.get("coupling") in (None, {}):
+        obj = dict(obj, coupling={"kind": "additive"})
     pieces = {s: _piece_from_dict(s, obj[s]) for s in _PIECES if obj.get(s) is not None}
     order = order_from_dict(obj["order"]) if obj.get("order") is not None else None
     return ScmSpec(**pieces, order=order)
@@ -594,18 +598,11 @@ def simulate(spec: ScmSpec, n: int, seed: int = 0, *, return_latent: bool = Fals
 
     variables = []
     columns: dict[str, np.ndarray] = {}
-    for j in range(spec.n_outcomes):
-        name = f"y{j + 1}"
-        variables.append(Variable(name=name, role="outcome", position=j))
-        columns[name] = Y[:, j].copy()
-    for j in range(spec.n_treatments):
-        name = f"x{j + 1}"
-        variables.append(Variable(name=name, role="treatment"))
-        columns[name] = X[:, j].copy()
-    for j in range(spec.n_covariates):
-        name = f"c{j + 1}"
-        variables.append(Variable(name=name, role="covariate"))
-        columns[name] = C[:, j].copy()
+    for prefix, role, M in (("y", "outcome", Y), ("x", "treatment", X), ("c", "covariate", C)):
+        for j in range(M.shape[1]):
+            name = f"{prefix}{j + 1}"
+            variables.append(Variable(name, role, position=j if role == "outcome" else None))
+            columns[name] = M[:, j].copy()
     table = DataTable(
         schema=TableSchema(variables=tuple(variables)),
         columns=columns,
@@ -672,8 +669,7 @@ def _reference_c(spec: ScmSpec) -> tuple:
 
 def _support_pairs(spec: ScmSpec) -> list:
     """Every pair of policy support rows, in support order."""
-    sup = spec.policy.support
-    return [(tuple(sup[i]), tuple(sup[j])) for i, j in combinations(range(sup.shape[0]), 2)]
+    return list(combinations(map(tuple, spec.policy.support), 2))
 
 
 def _latents(spec: ScmSpec, n, seed: int, stream: int) -> np.ndarray:
@@ -873,14 +869,10 @@ def check_monotonicity(
 
 def _sorted_rows(rows: np.ndarray, order: OrderSpec) -> np.ndarray:
     if isinstance(order, ScalarScore):
-        scores = rows @ np.asarray(order.weights, dtype=float)
-        return rows[np.argsort(scores, kind="stable")]
-    assert isinstance(order, Lexicographic)
-    keys = []
-    for pos, direction in zip(reversed(order.priority), reversed(order.direction)):
-        col = rows[:, pos]
-        keys.append(col if direction == "asc" else -col)
-    return rows[np.lexsort(tuple(keys))]
+        return rows[np.argsort(order.score(rows), kind="stable")]
+    keys = [rows[:, pos] if direc == "asc" else -rows[:, pos]
+            for pos, direc in zip(reversed(order.priority), reversed(order.direction))]
+    return rows[np.lexsort(keys)]
 
 
 def monotonicity_probe(
@@ -915,6 +907,19 @@ def export_trajectories(
     skipped), so monotone worlds report 0 and the flip construction shows
     one crossing per pair.
     """
+    grid, n_u = _trajectory_sizes(spec, x_grid, n_u)
+    U = _latents(spec, n_u, seed, _STREAM_TRAJECTORIES)
+    at = _counterfactuals(spec, _reference_c(spec) if c is None else c, U)
+    curves = np.stack([at(x) for x in grid], axis=1)
+    return TrajectorySet(
+        x_grid=grid, u_values=U, outcomes=curves,
+        crossing_count=_crossing_count(curves, spec.outcome_order),
+    )
+
+
+def _trajectory_sizes(spec: ScmSpec, x_grid, n_u) -> tuple[np.ndarray, int]:
+    """The treatment grid as rows and the curve count, once both are known
+    to be large enough to trace and compare."""
     grid = np.atleast_2d(np.asarray(x_grid, dtype=float))
     if grid.shape[1] != spec.n_treatments or grid.shape[0] < 2:
         raise ConfigError(
@@ -923,25 +928,22 @@ def export_trajectories(
     n_u = int(n_u)
     if n_u < 2:
         raise ConfigError("need at least two latent draws to compare")
-    order = spec.outcome_order
+    return grid, n_u
 
-    U = _latents(spec, n_u, seed, _STREAM_TRAJECTORIES)
-    at = _counterfactuals(spec, _reference_c(spec) if c is None else c, U)
-    curves = np.stack([at(x) for x in grid], axis=1)
 
+def _crossing_count(curves: np.ndarray, order: OrderSpec) -> int:
+    """Rank flips of (n_u, n_grid, d) outcome curves, summed over curve
+    pairs: along the grid, ties are skipped and each change of sign between
+    the nonzero comparisons left is one crossing."""
+    steps = np.arange(curves.shape[1])
     crossings = 0
-    for i, j in combinations(range(n_u), 2):
-        signs = []
-        for g in range(grid.shape[0]):
-            s = compare(curves[i, g], curves[j, g], order)
-            if s is not Ordering.EQUAL:
-                signs.append(int(s))
-        crossings += sum(
-            1 for k in range(1, len(signs)) if signs[k] != signs[k - 1]
-        )
-    return TrajectorySet(
-        x_grid=grid, u_values=U, outcomes=curves, crossing_count=crossings
-    )
+    for i in range(curves.shape[0] - 1):
+        signs = compare(curves[i], curves[i + 1:], order)
+        # Carry each pair's last nonzero sign across the ties after it.
+        last = np.maximum.accumulate(np.where(signs != 0, steps, 0), axis=1)
+        held = np.take_along_axis(signs, last, axis=1)
+        crossings += int(np.count_nonzero(held[:, 1:] * held[:, :-1] < 0))
+    return crossings
 
 
 # ---------------------------------------------------------------------------
@@ -960,7 +962,7 @@ def _trajectory_grid(spec: ScmSpec, size: int) -> np.ndarray:
         levels = spec.mean.x_levels
         return levels[np.lexsort(tuple(levels[:, j] for j in range(levels.shape[1] - 1, -1, -1)))]
     sup = spec.policy.support
-    # A size below 2 gives too few rows, which export_trajectories rejects.
+    # A size below 2 gives too few rows, which _trajectory_sizes rejects.
     return np.linspace(sup.min(axis=0), sup.max(axis=0), max(size, 0))
 
 
@@ -985,6 +987,8 @@ def validate_spec(
     check that raises a PocError is recorded as failed.
     """
     nonmono = isinstance(spec.coupling, NonMonotoneTest)
+    # The trajectory sizes fail fast, not after every oracle has run.
+    traj_grid, n_u = _trajectory_sizes(spec, _trajectory_grid(spec, grid), n_u)
     table = simulate(spec, n, seed)
     c = _reference_c(spec)
     thresholds, pairs = monotonicity_probe(spec, n_thresholds=50, n_pilot=4000, seed=seed)
@@ -1041,9 +1045,7 @@ def validate_spec(
     # fire on a nonmonotone spec and stay silent on a monotone one.
     report = check_monotonicity(spec, thresholds, pairs, c=c, n_mc=n_mc, seed=seed)
     violation = report.max_violation
-    crossings = export_trajectories(
-        spec, _trajectory_grid(spec, grid), c=c, n_u=n_u, seed=seed
-    ).crossing_count
+    crossings = export_trajectories(spec, traj_grid, c=c, n_u=n_u, seed=seed).crossing_count
     if nonmono:
         check(
             "monotonicity_alarm", "pass" if violation >= ALARM_MIN else "fail",

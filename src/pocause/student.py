@@ -125,60 +125,24 @@ def study_queries(variant: str) -> tuple[tuple[str, str, PoCQuery], ...]:
         raise ConfigError(f"unknown variant {variant!r}; choose from {VARIANTS}")
     arms = _VARIANT_ARMS[variant]
     x0, x1 = arms["x0"], arms["x1"]
-    c_ref = CovariateRow(row=0)
     near_miss = Evidence(y=_Y_NEAR_MISS, x=_EVIDENCE_X)
 
-    rows: list[tuple[str, str, PoCQuery]] = []
-    for estimand in ("pns", "pn", "ps"):
-        rows.append((
-            "study1",
-            estimand,
-            PoCQuery(
-                kind=estimand,
-                thresholds=(_Y_GOOD,),
-                treatments=(x0, x1),
-                covariates=c_ref,
-                order=GRADE_ORDER,
-            ),
-        ))
-    rows.append((
-        "study2",
-        "pns_evidence",
-        PoCQuery(
-            kind="pns_evidence",
-            thresholds=(_Y_GOOD,),
-            treatments=(x0, x1),
-            covariates=c_ref,
-            evidence=near_miss,
-            order=GRADE_ORDER,
-        ),
-    ))
+    def query(kind, thresholds, treatments, evidence=None):
+        return PoCQuery(
+            kind=kind, thresholds=thresholds, treatments=treatments,
+            covariates=CovariateRow(row=0), evidence=evidence, order=GRADE_ORDER,
+        )
+
+    rows = [("study1", kind, query(kind, (_Y_GOOD,), (x0, x1))) for kind in ("pns", "pn", "ps")]
+    rows.append(("study2", "pns_evidence", query("pns_evidence", (_Y_GOOD,), (x0, x1), near_miss)))
     if variant == "paid":
         return tuple(rows)
 
     chain = ((1.0, 1.0), x0, x1)
+    rows.append(("study3", "pns_multi", query("pns_multi", (_Y_MID, _Y_GOOD), chain)))
     rows.append((
-        "study3",
-        "pns_multi",
-        PoCQuery(
-            kind="pns_multi",
-            thresholds=(_Y_MID, _Y_GOOD),
-            treatments=chain,
-            covariates=c_ref,
-            order=GRADE_ORDER,
-        ),
-    ))
-    rows.append((
-        "study4",
-        "pns_multi_evidence",
-        PoCQuery(
-            kind="pns_multi_evidence",
-            thresholds=(_Y_MID, _Y_GOOD),
-            treatments=chain,
-            covariates=c_ref,
-            evidence=near_miss,
-            order=GRADE_ORDER,
-        ),
+        "study4", "pns_multi_evidence",
+        query("pns_multi_evidence", (_Y_MID, _Y_GOOD), chain, near_miss),
     ))
     return tuple(rows)
 

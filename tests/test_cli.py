@@ -220,3 +220,44 @@ def test_missing_data_file_is_a_config_error(workdir, capsys):
         "--query", str(workdir / "query.json"),
     ])
     assert code in (2, 3)
+
+
+@pytest.mark.parametrize(
+    "section, value",
+    [
+        pytest.param("coupling", "additive", id="coupling-string"),
+        pytest.param("coupling", [], id="coupling-empty-list"),
+        pytest.param("covariates", 5, id="covariates-number"),
+    ],
+)
+def test_non_object_section_is_a_config_error(section, value, tmp_path, capsys):
+    from pocause import packaged_spec_path
+
+    obj = json.loads(open(packaged_spec_path("lexi2"), encoding="utf-8").read())
+    obj[section] = value
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(obj), encoding="utf-8")
+    code = main([
+        "simulate", "--spec", str(spec), "--n", "10", "--out", str(tmp_path / "sim.csv"),
+    ])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "ConfigError"
+    assert err["error"]["message"] == f"model spec needs a {section!r} object"
+
+
+def test_lexi2_trajectory_export_is_pinned(tmp_path, capsys):
+    """The 200-point, 100-curve lexi2 export: its curve file and crossing
+    count are fixed by the seed."""
+    import hashlib
+
+    out = tmp_path / "curves.csv"
+    code = main([
+        "trajectories", "--spec", "lexi2", "--grid", "200", "--n-u", "100",
+        "--seed", "7", "--out", str(out),
+    ])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["crossing_count"] == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "723661dd6fb4337d94f545bb361d069e6068361ee0cf3a491cfd3b79ac150f01"
+    )

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import re
@@ -11,13 +12,18 @@ from pocause import (
     CounterfactualEvent,
     CovariateDist,
     EstimatorConfig,
+    Lexicographic,
     NoSupportError,
+    Ordering,
+    ScalarScore,
     TabularMean,
     TreatmentPolicy,
     check_monotonicity,
+    compare,
     derived_rng,
     export_trajectories,
     flip_event,
+    lexicographic_default,
     load_scm,
     monotonicity_probe,
     oracle_evidence,
@@ -396,3 +402,120 @@ def test_policy_sample_matches_per_row_search():
     np.testing.assert_array_equal(X, policy.support[expected])
     assert len({tuple(row) for row in C.tolist()}) == 9
     assert set(X[:, 0].tolist()) == {0.0, 1.0, 2.0, 3.0}
+
+
+@pytest.mark.parametrize(
+    "levels, first_bad",
+    [
+        pytest.param([[2.0], [1.0], [3.0]], 0, id="first"),
+        pytest.param([[1.0], [2.0], [2.0]], 1, id="tie-last"),
+    ],
+)
+def test_tabular_levels_name_the_first_that_fails_to_ascend(levels, first_bad):
+    obj = json.load(open(packaged_spec_path("tabular"), encoding="utf-8"))
+    obj["mean"]["levels"] = levels
+    message = (
+        "tabular levels must ascend under the outcome order; "
+        f"level {first_bad} does not precede level {first_bad + 1}"
+    )
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        scm_from_dict(obj)
+
+
+@pytest.mark.parametrize(
+    "grid, n_u, message",
+    [
+        pytest.param(1, 8, "need a grid of at least 2 treatment rows", id="grid"),
+        pytest.param(8, 1, "need at least two latent draws to compare", id="n_u"),
+    ],
+)
+def test_validate_checks_trajectory_sizes_before_simulating(grid, n_u, message, monkeypatch):
+    import pocause.scm as scm
+
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before checking the trajectory sizes")
+
+    monkeypatch.setattr(scm, "simulate", no_simulation)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        validate_spec(
+            _spec("lexi2"), n=2000, n_mc=2000, grid=grid, n_u=n_u,
+            config=EstimatorConfig(method="empirical"), seed=3,
+        )
+
+
+@pytest.mark.parametrize("d", [2, 3, 9])
+def test_scalar_score_pool_is_sorted_under_the_order(d):
+    """Rows whose scores tie up to rounding sort by the bits compare sees."""
+    from pocause.scm import _sorted_rows
+
+    rng = np.random.default_rng(d)
+    order = ScalarScore(tuple(rng.normal(size=d)))
+    rows = rng.normal(size=(4000, d))
+    # Rescale every row onto score 1, so neighbours differ in the last bits.
+    rows /= (rows * np.asarray(order.weights)).sum(axis=1, keepdims=True)
+    pool = _sorted_rows(rows, order)
+    assert sorted(map(tuple, pool)) == sorted(map(tuple, rows))
+    assert np.all(compare(pool[:-1], pool[1:], order) <= 0)
+
+
+def _pairwise_crossings(curves, order):
+    """The crossing count as a loop over curve pairs and grid points: the
+    reference the batched count must match."""
+    crossings = 0
+    for i, j in itertools.combinations(range(curves.shape[0]), 2):
+        signs = []
+        for g in range(curves.shape[1]):
+            s = compare(curves[i, g], curves[j, g], order)
+            if s is not Ordering.EQUAL:
+                signs.append(int(s))
+        crossings += sum(1 for k in range(1, len(signs)) if signs[k] != signs[k - 1])
+    return crossings
+
+
+def _random_order(rng, d):
+    if rng.random() < 0.3:
+        return ScalarScore(tuple(rng.integers(-2, 3, size=d).astype(float)))
+    return Lexicographic(
+        tuple(rng.permutation(d).tolist()), tuple(rng.choice(["asc", "desc"], size=d).tolist())
+    )
+
+
+def test_crossing_count_matches_the_pairwise_loop():
+    from pocause.scm import _crossing_count
+
+    rng = np.random.default_rng(17)
+    for _ in range(150):
+        n_u, n_grid, d = rng.integers(2, 7), rng.integers(2, 9), rng.integers(1, 12)
+        # Few distinct values, so ties (leading, trailing and whole-vector)
+        # are common.
+        curves = rng.integers(-2, 3, size=(n_u, n_grid, d)).astype(float)
+        if rng.random() < 0.3:
+            curves[:, :rng.integers(1, n_grid + 1)] = curves[0, 0]
+        if rng.random() < 0.3:
+            curves[:, -rng.integers(1, n_grid + 1):] = curves[0, -1]
+        order = _random_order(rng, d)
+        assert _crossing_count(curves, order) == _pairwise_crossings(curves, order)
+
+
+@pytest.mark.parametrize(
+    "rows, expected",
+    [
+        pytest.param([[0, 1], [1, 0]], 1, id="two-point-swap"),
+        pytest.param([[0, 0], [1, 0]], 0, id="two-point-tie"),
+        pytest.param([[0, 0, 1, 1, 0, -1, -1, 0, 0], [0] * 9], 1, id="ties-around-a-flip"),
+        pytest.param([[1, -1, 1, 0, -1], [0] * 5], 3, id="flips-across-ties"),
+    ],
+)
+def test_crossing_count_skips_ties(rows, expected):
+    from pocause.scm import _crossing_count
+
+    curves = np.asarray(rows, dtype=float)[:, :, None]
+    assert _pairwise_crossings(curves, lexicographic_default(1)) == expected
+    assert _crossing_count(curves, lexicographic_default(1)) == expected
+
+
+def test_trajectories_count_crossings_per_pair():
+    spec = _spec("nonmono")
+    grid = np.linspace(0.0, 1.0, 7)[:, None]
+    traj = export_trajectories(spec, grid, n_u=12, seed=5)
+    assert traj.crossing_count == _pairwise_crossings(traj.outcomes, spec.outcome_order)
