@@ -156,13 +156,13 @@ class _ThresholdCdf:
 
     def __init__(self, table: DataTable, order: OrderSpec | None):
         self.table = table
-        y = table.outcomes()
-        if y.shape[1] == 0:
+        n_y = len(table.schema.outcome_names)
+        if n_y == 0:
             raise ConfigError("table has no outcome columns")
-        self.order = order if order is not None else lexicographic_default(y.shape[1])
-        self._n_x = table.treatments().shape[1]
-        self._n_c = table.covariates().shape[1]
-        self._xc = np.hstack([table.treatments(), table.covariates()])
+        self.order = order if order is not None else lexicographic_default(n_y)
+        x, c = table.treatments(), table.covariates()
+        self._n_x, self._n_c = x.shape[1], c.shape[1]
+        self._xc = np.hstack([x, c])
         if self._xc.shape[1] == 0:
             raise ConfigError("table has neither treatment nor covariate columns")
         self._by_threshold: dict[bytes, tuple] = {}

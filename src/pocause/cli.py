@@ -40,6 +40,7 @@ from .errors import (
     SingularError,
 )
 from .estimands import EstimatorConfig, evaluate_query, load_query, query_as_dict
+from .estimands import _bind_covariate_row
 from .scm import _trajectory_grid, export_trajectories, load_scm, simulate, validate_spec
 from .student import VARIANTS, format_student_report, reproduce_student
 
@@ -101,12 +102,13 @@ def _cmd_estimate(args) -> int:
     table = load_table(args.data, schema, delimiter=args.delimiter)
     query = load_query(args.query)
     config = _estimator_config(args)
-    estimate = evaluate_query(table, query, config)
+    bound = _bind_covariate_row(table, query)
+    estimate = evaluate_query(table, bound, config)
     boot = None
     if args.bootstrap > 0:
         boot = bootstrap(
             table,
-            lambda t: evaluate_query(t, query, config).value,
+            lambda t: evaluate_query(t, bound, config).value,
             n_boot=args.bootstrap,
             seed=seed,
             alpha=args.alpha,

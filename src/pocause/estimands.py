@@ -26,14 +26,14 @@ the assumptions is the job of the scm module's oracles.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .cdf import EmpiricalCdf, LogisticCdf
 from .dataset import DataTable
 from .errors import ConfigError, NotIdentifiedError
-from .ordering import OrderSpec, lexicographic_default, order_from_dict
+from .ordering import OrderSpec, order_from_dict
 
 QUERY_KINDS = (
     "pns",
@@ -398,7 +398,7 @@ class PoCEstimate:
         }
 
 
-def build_estimator(table: DataTable, order: OrderSpec, config: EstimatorConfig):
+def build_estimator(table: DataTable, order: OrderSpec | None, config: EstimatorConfig):
     if config.method == "empirical":
         return EmpiricalCdf(table, order)
     return LogisticCdf(table, order, ridge=config.ridge)
@@ -422,6 +422,14 @@ def _resolve_covariates(table: DataTable, query: PoCQuery) -> tuple[float, ...]:
     if len(cov) != n_c:
         raise ConfigError(f"query c has {len(cov)} values, table has {n_c} covariates")
     return cov
+
+
+def _bind_covariate_row(table: DataTable, query: PoCQuery) -> PoCQuery:
+    """query with a {"row": k} reference replaced by row k's covariates in
+    table, so that every resample of table conditions on that same unit."""
+    if not isinstance(query.covariates, CovariateRow):
+        return query
+    return replace(query, covariates=_resolve_covariates(table, query))
 
 
 def _gather(estimator, query: PoCQuery, profiles: np.ndarray):
@@ -463,16 +471,11 @@ def evaluate_query(
 ) -> PoCEstimate:
     """Answer a query against a loaded table."""
     config = config or EstimatorConfig()
-    n_outcomes = len(table.schema.outcome_names)
-    if n_outcomes == 0:
-        raise ConfigError("table has no outcome columns")
-    order = query.order if query.order is not None else lexicographic_default(n_outcomes)
-
     if query.kind == "marginal_pns":
         return marginal_pns(table, query, config)
 
     c = _resolve_covariates(table, query)
-    estimator = build_estimator(table, order, config)
+    estimator = build_estimator(table, query.order, config)
     upper, lower, evidence, notes = _gather(
         estimator, query, np.array(c, dtype=float).reshape(1, -1)
     )
@@ -522,9 +525,7 @@ def marginal_pns(
     config = config or EstimatorConfig()
     if query.kind != "marginal_pns":
         raise ConfigError(f"marginal_pns got a {query.kind!r} query")
-    n_outcomes = len(table.schema.outcome_names)
-    order = query.order if query.order is not None else lexicographic_default(n_outcomes)
-    estimator = build_estimator(table, order, config)
+    estimator = build_estimator(table, query.order, config)
 
     cov = table.covariates()
     if cov.shape[1] == 0:

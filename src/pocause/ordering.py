@@ -17,17 +17,21 @@ families are provided:
 Comparisons use exact float equality throughout; there is no tolerance.
 Callers who want fuzzy thresholds should quantize before comparing.
 
-compare, ScalarScore.score and indicator_below all take batches: arrays of
-shape (..., d) hold one d-vector per position of their leading axes. A
-batch gives each of its vectors exactly the answer that vector gets on its
-own, so a vectorized caller and a loop over the same vectors agree.
+Each order states its sort keys once, in keys(), most significant first.
+compare, indicator_below and every row sort in the package use only those
+keys, so they cannot disagree about the order.
+
+keys, compare, ScalarScore.score and indicator_below all take batches:
+arrays of shape (..., d) hold one d-vector per position of their leading
+axes. A batch gives each of its vectors exactly the answer that vector gets
+on its own, so a vectorized caller and a loop over the same vectors agree.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -48,17 +52,10 @@ def _as_batch(v, name: str) -> np.ndarray:
     arr = np.asarray(v, dtype=float)
     if arr.ndim == 0:
         raise ConfigError(f"{name} must be a vector or a batch of vectors, got shape ()")
-    finite = np.isfinite(arr).all(axis=-1)
-    if not finite.all():
-        raise ConfigError(f"{name} must be finite, got {arr[~finite][0].tolist()}")
+    if not np.isfinite(arr).all():
+        bad = ~np.isfinite(arr).all(axis=-1)
+        raise ConfigError(f"{name} must be finite, got {arr[bad][0].tolist()}")
     return arr
-
-
-def _as_vector(v, name: str) -> np.ndarray:
-    arr = np.asarray(v, dtype=float)
-    if arr.ndim != 1:
-        raise ConfigError(f"{name} must be a 1-d vector, got shape {arr.shape}")
-    return _as_batch(arr, name)
 
 
 @dataclass(frozen=True)
@@ -76,6 +73,8 @@ class Lexicographic:
     def __post_init__(self):
         prio = tuple(int(p) for p in self.priority)
         direc = tuple(str(d) for d in self.direction)
+        if not prio:
+            raise ConfigError("lexicographic order needs at least one component")
         if sorted(prio) != list(range(len(prio))):
             raise ConfigError(
                 f"priority must be a permutation of 0..{len(prio) - 1}, got {list(prio)}"
@@ -93,6 +92,17 @@ class Lexicographic:
     @property
     def dimension(self) -> int:
         return len(self.priority)
+
+    def keys(self, v) -> list[np.ndarray]:
+        """Sort keys of a (..., d) batch, most significant first: each
+        component in priority order, negated where it is descending."""
+        arr = _as_batch(v, "outcome")
+        if arr.shape[-1] != self.dimension:
+            raise ConfigError(
+                f"vectors have {arr.shape[-1]} components, order expects {self.dimension}"
+            )
+        return [arr[..., pos] if direc == "asc" else -arr[..., pos]
+                for pos, direc in zip(self.priority, self.direction)]
 
     def as_dict(self) -> dict:
         return {
@@ -123,6 +133,10 @@ class ScalarScore:
     @property
     def dimension(self) -> int:
         return len(self.weights)
+
+    def keys(self, v) -> list:
+        """Sort keys of a (..., d) batch: its one score per vector."""
+        return [self.score(v)]
 
     def score(self, y):
         """The weighted sum of an outcome's components: a float for one
@@ -163,17 +177,32 @@ def order_from_dict(obj: dict) -> OrderSpec:
     if not isinstance(obj, dict):
         raise ConfigError(f"order spec must be an object, got {type(obj).__name__}")
     kind = obj.get("kind")
+    if kind not in ("lexicographic", "scalar_score"):
+        raise ConfigError(f"unknown order kind {kind!r}")
+    fields = ("priority", "direction") if kind == "lexicographic" else ("weights",)
+    extra = set(obj) - {"kind", *fields}
+    if extra:
+        raise ConfigError(f"unknown order fields: {sorted(extra)}")
     if kind == "lexicographic":
         if "priority" not in obj:
             raise ConfigError("lexicographic order needs a 'priority' list")
         priority = tuple(obj["priority"])
         direction = tuple(obj.get("direction", ("asc",) * len(priority)))
         return Lexicographic(priority=priority, direction=direction)
-    if kind == "scalar_score":
-        if "weights" not in obj:
-            raise ConfigError("scalar_score order needs a 'weights' list")
-        return ScalarScore(weights=tuple(obj["weights"]))
-    raise ConfigError(f"unknown order kind {kind!r}")
+    if "weights" not in obj:
+        raise ConfigError("scalar_score order needs a 'weights' list")
+    return ScalarScore(weights=tuple(obj["weights"]))
+
+
+def _precedes(a, b, order: OrderSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Where a's vector precedes b's, and where the order ties them, over
+    the broadcast leading axes: the first key that differs decides."""
+    keys_a, keys_b = order.keys(a), order.keys(b)
+    less, tied = np.less(keys_a[0], keys_b[0]), np.equal(keys_a[0], keys_b[0])
+    for ka, kb in zip(keys_a[1:], keys_b[1:]):
+        less |= tied & (ka < kb)
+        tied &= ka == kb
+    return less, tied
 
 
 def compare(a, b, order: OrderSpec) -> Ordering | np.ndarray:
@@ -193,26 +222,13 @@ def compare(a, b, order: OrderSpec) -> Ordering | np.ndarray:
             f"cannot compare vectors of length {va.shape[-1]} and {vb.shape[-1]}"
         )
     try:
-        shape = np.broadcast_shapes(va.shape[:-1], vb.shape[:-1])
+        np.broadcast_shapes(va.shape[:-1], vb.shape[:-1])
     except ValueError:
         raise ConfigError(
             f"cannot compare batches of shape {va.shape[:-1]} and {vb.shape[:-1]}"
         ) from None
-    if isinstance(order, ScalarScore):
-        sa, sb = order.score(va), order.score(vb)
-        sign = np.subtract(sa > sb, sa < sb, dtype=np.int8)
-    else:
-        if va.shape[-1] != order.dimension:
-            raise ConfigError(
-                f"vectors have {va.shape[-1]} components, order expects {order.dimension}"
-            )
-        # The first priority that differs decides, so each earlier one
-        # overrides the later ones wherever it differs.
-        sign = np.zeros(shape, dtype=np.int8)
-        for pos, direc in zip(reversed(order.priority), reversed(order.direction)):
-            x, y = va[..., pos], vb[..., pos]
-            s = np.subtract(x > y, x < y, dtype=np.int8)
-            sign = np.where(s != 0, s if direc == "asc" else -s, sign)
+    less, tied = _precedes(va, vb, order)
+    sign = np.subtract(~(less | tied), less, dtype=np.int8)
     if va.ndim == 1 and vb.ndim == 1:
         return Ordering(int(sign))
     return sign
@@ -232,27 +248,13 @@ def indicator_below(rows, threshold, order: OrderSpec) -> tuple[np.ndarray, np.n
         raise ConfigError(f"rows must be 2-d, got shape {mat.shape}")
     if not np.all(np.isfinite(mat)):
         raise ConfigError("outcome rows must be finite")
-    thr = _as_vector(threshold, "threshold")
+    thr = np.asarray(threshold, dtype=float)
+    if thr.ndim != 1:
+        raise ConfigError(f"threshold must be a 1-d vector, got shape {thr.shape}")
+    thr = _as_batch(thr, "threshold")
     if mat.shape[1] != thr.size:
         raise ConfigError(
             f"rows have {mat.shape[1]} components, threshold has {thr.size}"
         )
-
-    if thr.size != order.dimension:
-        raise ConfigError(
-            f"threshold has {thr.size} components, order expects {order.dimension}"
-        )
-    if isinstance(order, ScalarScore):
-        scores, t = order.score(mat), order.score(thr)
-        return scores < t, scores <= t
-
-    n = mat.shape[0]
-    strict = np.zeros(n, dtype=bool)
-    tied = np.ones(n, dtype=bool)
-    for pos, direc in zip(order.priority, order.direction):
-        col = mat[:, pos]
-        t = thr[pos]
-        ahead = col < t if direc == "asc" else col > t
-        strict |= tied & ahead
-        tied &= col == t
+    strict, tied = _precedes(mat, thr, order)
     return strict, strict | tied

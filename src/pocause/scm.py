@@ -40,7 +40,6 @@ from .estimands import EstimatorConfig, Evidence, PoCQuery, evaluate_query
 from .ordering import (
     Ordering,
     OrderSpec,
-    ScalarScore,
     compare,
     indicator_below,
     lexicographic_default,
@@ -836,43 +835,34 @@ def check_monotonicity(
     U = _latents(spec, n_mc, seed, _STREAM_MONOTONICITY)
     n_mc = U.shape[0]
     at = _counterfactuals(spec, _reference_c(spec) if c is None else c, U)
-    # Every Y(x) before any indicator: one evaluated on top of the cached
-    # indicators would raise the peak memory.
-    for x in chain.from_iterable(pairs):
-        at(x)
-    strict_cache: dict[tuple, np.ndarray] = {}
 
-    def strict(x, y):
-        key = (np.asarray(x, dtype=float).tobytes(), np.asarray(y, dtype=float).tobytes())
-        if key not in strict_cache:
-            strict_cache[key] = indicator_below(at(x), y, order)[0]
-        return strict_cache[key]
+    def key(x):
+        return np.asarray(x, dtype=float).tobytes()
 
-    best = (-1.0, 0.0, pairs[0], thresholds[0])
-    for xa, xb in pairs:
-        for y in thresholds:
-            sa = strict(xa, y)
-            sb = strict(xb, y)
-            v1 = float(np.mean(sa & ~sb))
-            v2 = float(np.mean(sb & ~sa))
-            v = min(v1, v2)
-            if v > best[0]:
-                best = (v, float(np.sqrt(v * (1.0 - v) / n_mc)), (xa, xb), y)
+    distinct = {key(x): x for x in chain.from_iterable(pairs)}
+    column = {y: j for j, y in enumerate(dict.fromkeys(thresholds))}
+    violation = np.empty((len(pairs), len(column)))
+    for y, j in column.items():
+        strict = {k: indicator_below(at(x), y, order)[0] for k, x in distinct.items()}
+        for i, (xa, xb) in enumerate(pairs):
+            sa, sb = strict[key(xa)], strict[key(xb)]
+            violation[i, j] = min(np.mean(sa & ~sb), np.mean(sb & ~sa))
+    # Equal thresholds share a column. argmax takes the first largest in
+    # pair-major order.
+    violation = violation[:, [column[y] for y in thresholds]]
+    i, j = np.unravel_index(np.argmax(violation), violation.shape)
+    v = float(violation[i, j])
     return MonotonicityReport(
-        max_violation=best[0],
-        std_error=best[1],
-        at_pair=best[2],
-        at_threshold=best[3],
+        max_violation=v,
+        std_error=float(np.sqrt(v * (1.0 - v) / n_mc)),
+        at_pair=tuple(pairs[i]),
+        at_threshold=thresholds[j],
         n_mc=n_mc,
     )
 
 
 def _sorted_rows(rows: np.ndarray, order: OrderSpec) -> np.ndarray:
-    if isinstance(order, ScalarScore):
-        return rows[np.argsort(order.score(rows), kind="stable")]
-    keys = [rows[:, pos] if direc == "asc" else -rows[:, pos]
-            for pos, direc in zip(reversed(order.priority), reversed(order.direction))]
-    return rows[np.lexsort(keys)]
+    return rows[np.lexsort(order.keys(rows)[::-1])]
 
 
 def monotonicity_probe(
@@ -960,7 +950,7 @@ def _trajectory_grid(spec: ScmSpec, size: int) -> np.ndarray:
     policy support."""
     if isinstance(spec.mean, TabularMean):
         levels = spec.mean.x_levels
-        return levels[np.lexsort(tuple(levels[:, j] for j in range(levels.shape[1] - 1, -1, -1)))]
+        return _sorted_rows(levels, lexicographic_default(levels.shape[1]))
     sup = spec.policy.support
     # A size below 2 gives too few rows, which _trajectory_sizes rejects.
     return np.linspace(sup.min(axis=0), sup.max(axis=0), max(size, 0))

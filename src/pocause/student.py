@@ -46,6 +46,7 @@ from .estimands import (
     EstimatorConfig,
     Evidence,
     PoCQuery,
+    _bind_covariate_row,
     evaluate_query,
 )
 from .ordering import Lexicographic
@@ -233,6 +234,7 @@ def reproduce_student(
 
     rows: list[StudyRow] = []
     for study, estimand, query in study_queries(variant):
+        query = _bind_covariate_row(table, query)
         value = evaluate_query(table, query, config).value
         interval = None
         if n_boot > 0:

@@ -110,6 +110,53 @@ def test_off_support_query_is_an_identification_error(workdir, capsys):
     assert code == 4
 
 
+def test_bootstrap_binds_the_covariate_row_before_resampling(workdir, capsys):
+    """A {"row": k} query bootstraps as the same query with row k's values
+    written out: every replicate conditions on that unit, not on whichever
+    unit the resample puts at row k."""
+    # Treatment lifts the outcome by 2 when c = 0 and does nothing when c = 1.
+    rows = [f"{y + 2 * x * (1 - c)};{x};{c}" for c in (0, 1) for x in (0, 1) for y in (1, 2, 3, 4)]
+    (workdir / "data.csv").write_text("y;x;c\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    reports = []
+    for c in ({"row": 0}, [0.0]):
+        (workdir / "query.json").write_text(json.dumps({**QUERY, "c": c}), encoding="utf-8")
+        assert main(_estimate_args(workdir, "--bootstrap", "40", "--seed", "3")) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    by_row, explicit = reports
+    assert by_row["query"]["c"] == {"row": 0}
+    assert by_row["estimate"] == explicit["estimate"]
+    assert by_row["bootstrap"] == explicit["bootstrap"]
+
+
+@pytest.mark.parametrize(
+    "query, message",
+    [
+        pytest.param(
+            {"threshold": [0.0]}, "rows have 2 components, threshold has 1", id="threshold-length",
+        ),
+        pytest.param(
+            {"order": {"kind": "lexicographic", "priority": [0, 1], "directions": ["desc", "asc"]}},
+            "unknown order fields: ['directions']", id="order-field",
+        ),
+    ],
+)
+def test_bad_query_for_a_two_outcome_table_is_a_config_error(query, message, tmp_path, capsys):
+    csv, schema = tmp_path / "sim.csv", tmp_path / "sim.schema.json"
+    assert main([
+        "simulate", "--spec", "lexi2", "--n", "200", "--seed", "6",
+        "--out", str(csv), "--schema-out", str(schema),
+    ]) == 0
+    capsys.readouterr()
+    path = tmp_path / "query.json"
+    base = {"kind": "pns", "threshold": [0.0, 0.0], "x0": [0.0], "x1": [1.0], "c": [0.0]}
+    path.write_text(json.dumps({**base, **query}), encoding="utf-8")
+    code = main(["estimate", "--data", str(csv), "--schema", str(schema), "--query", str(path)])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "ConfigError"
+    assert err["error"]["message"] == message
+
+
 def test_negative_seed_is_rejected(workdir, capsys):
     code = main(_estimate_args(workdir, "--seed", "-1"))
     assert code == 2

@@ -106,6 +106,9 @@ def test_indicator_below_matches_scalar_compare(rows, t, order):
         {"kind": "lexicographic", "priority": [0, 1], "direction": ["asc", "up"]},
         {"kind": "scalar_score", "weights": []},
         {"kind": "mystery"},
+        {"kind": "lexicographic", "priority": [0, 1], "directions": ["desc", "asc"]},
+        {"kind": "scalar_score", "weights": [1.0], "priority": [0]},
+        {"kind": "lexicographic", "priority": []},
     ],
 )
 def test_order_from_dict_rejects_malformed(payload):

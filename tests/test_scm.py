@@ -458,6 +458,76 @@ def test_scalar_score_pool_is_sorted_under_the_order(d):
     assert np.all(compare(pool[:-1], pool[1:], order) <= 0)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_lexicographic_pool_sorts_stably_under_the_order(d):
+    """Mixed asc/desc orders over values that tie often, -0.0 against 0.0
+    included: the sort is the stable sort by each component in priority
+    order, negated where it descends, and tied rows keep their input order."""
+    from pocause.scm import _sorted_rows
+
+    rng = np.random.default_rng(40 + d)
+    for _ in range(20):
+        order = Lexicographic(
+            tuple(rng.permutation(d).tolist()),
+            tuple(rng.choice(["asc", "desc"], size=d).tolist()),
+        )
+        rows = rng.choice([-1.5, -0.0, 0.0, 0.5, 2.0], size=(300, d))
+
+        def rank(i):
+            return tuple(rows[i, p] if s == "asc" else -rows[i, p]
+                         for p, s in zip(order.priority, order.direction))
+
+        pool = _sorted_rows(rows, order)
+        assert pool.tobytes() == rows[sorted(range(len(rows)), key=rank)].tobytes()
+        assert np.all(compare(pool[:-1], pool[1:], order) <= 0)
+
+
+def _cached_monotonicity(spec, thresholds, pairs, n_mc, seed):
+    """check_monotonicity as a double loop over pairs and thresholds, one
+    cached strict indicator per (x, threshold): the reference the
+    threshold-by-threshold check must match."""
+    from pocause.scm import MonotonicityReport, _STREAM_MONOTONICITY, _counterfactuals
+    from pocause.scm import _latents, _reference_c
+    from pocause.ordering import indicator_below
+
+    thresholds = [tuple(float(v) for v in t) for t in thresholds]
+    U = _latents(spec, n_mc, seed, _STREAM_MONOTONICITY)
+    at = _counterfactuals(spec, _reference_c(spec), U)
+    cache = {}
+
+    def strict(x, y):
+        key = (np.asarray(x, dtype=float).tobytes(), np.asarray(y, dtype=float).tobytes())
+        if key not in cache:
+            cache[key] = indicator_below(at(x), y, spec.outcome_order)[0]
+        return cache[key]
+
+    best = (-1.0, 0.0, pairs[0], thresholds[0])
+    for xa, xb in pairs:
+        for y in thresholds:
+            sa, sb = strict(xa, y), strict(xb, y)
+            v = min(float(np.mean(sa & ~sb)), float(np.mean(sb & ~sa)))
+            if v > best[0]:
+                best = (v, float(np.sqrt(v * (1.0 - v) / U.shape[0])), (xa, xb), y)
+    return MonotonicityReport(*best, n_mc=U.shape[0])
+
+
+@pytest.mark.parametrize("name", ["additive_scalar", "lexi2", "nonmono", "tabular"])
+@pytest.mark.parametrize("seed", [2, 9])
+def test_monotonicity_check_matches_the_cached_double_loop(name, seed):
+    spec = _spec(name)
+    thresholds, pairs = monotonicity_probe(spec, n_thresholds=15, n_pilot=600, seed=seed)
+    # Pairs as lists, and every threshold twice over.
+    as_lists = [[list(xa), list(xb)] for xa, xb in pairs]
+    cases = [(thresholds, pairs), ([t for t in thresholds for _ in "ab"], as_lists)]
+    # Thresholds below every outcome: each violation is 0, and the first
+    # pair and threshold are reported.
+    cases.append(([(-1e9 - k,) * spec.n_outcomes for k in range(3)], pairs[::-1]))
+    for ts, ps in cases:
+        got = check_monotonicity(spec, ts, pairs=ps, n_mc=3_000, seed=seed)
+        assert got == _cached_monotonicity(spec, ts, ps, n_mc=3_000, seed=seed)
+        assert type(got.at_pair[0]) is type(ps[0][0])
+
+
 def _pairwise_crossings(curves, order):
     """The crossing count as a loop over curve pairs and grid points: the
     reference the batched count must match."""

@@ -10,7 +10,10 @@ import pytest
 
 from pocause import (
     ConfigError,
+    EstimatorConfig,
     SchemaError,
+    bootstrap,
+    evaluate_query,
     format_student_report,
     load_student_table,
     reproduce_student,
@@ -102,6 +105,23 @@ def test_full_run_on_synthetic_data(grade_file):
     text = format_student_report(report)
     assert "study1" in text
     assert "unknown-60" in text
+
+
+def test_every_replicate_conditions_on_the_first_row(grade_file):
+    """The studies reference row 0's covariates; each interval is the one
+    the same query gets with row 0's values written out."""
+    from dataclasses import replace
+
+    table = load_student_table(grade_file)
+    c = tuple(float(v) for v in table.covariates()[0])
+    config = EstimatorConfig(method="logistic")
+    report = reproduce_student(grade_file, n_boot=12, seed=4, config=config)
+    for row, (_, _, query) in zip(report.rows, study_queries("joint")):
+        explicit = replace(query, covariates=c)
+        assert row.value == evaluate_query(table, explicit, config).value
+        assert row.interval == bootstrap(
+            table, lambda t: evaluate_query(t, explicit, config).value, n_boot=12, seed=4
+        )
 
 
 def test_point_only_run_skips_bootstrap(grade_file):
