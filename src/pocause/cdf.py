@@ -60,12 +60,8 @@ class LogisticModel:
 
 
 def _sigmoid(eta: np.ndarray) -> np.ndarray:
-    out = np.empty_like(eta, dtype=float)
-    pos = eta >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
-    ez = np.exp(eta[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    ez = np.exp(-np.abs(eta))
+    return np.where(eta >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
 
 
 def fit_logistic(features, labels, *, ridge: float = 0.0) -> LogisticModel:

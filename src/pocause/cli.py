@@ -26,7 +26,6 @@ import json
 import os
 import sys
 
-from .bootstrap import bootstrap
 from .bundled import packaged_spec_path
 from .dataset import load_schema, load_table, save_table
 from .errors import (
@@ -39,8 +38,7 @@ from .errors import (
     SeparationError,
     SingularError,
 )
-from .estimands import EstimatorConfig, evaluate_query, load_query, query_as_dict
-from .estimands import _bind_covariate_row
+from .estimands import EstimatorConfig, estimate_with_interval, load_query, query_as_dict
 from .scm import _trajectory_grid, export_trajectories, load_scm, simulate, validate_spec
 from .student import VARIANTS, format_student_report, reproduce_student
 
@@ -102,18 +100,10 @@ def _cmd_estimate(args) -> int:
     table = load_table(args.data, schema, delimiter=args.delimiter)
     query = load_query(args.query)
     config = _estimator_config(args)
-    bound = _bind_covariate_row(table, query)
-    estimate = evaluate_query(table, bound, config)
-    boot = None
-    if args.bootstrap > 0:
-        boot = bootstrap(
-            table,
-            lambda t: evaluate_query(t, bound, config).value,
-            n_boot=args.bootstrap,
-            seed=seed,
-            alpha=args.alpha,
-            threads=args.threads,
-        )
+    estimate, boot = estimate_with_interval(
+        table, query, config,
+        n_boot=args.bootstrap, seed=seed, alpha=args.alpha, threads=args.threads,
+    )
     _emit(
         {
             "command": "estimate",
@@ -192,13 +182,9 @@ def _cmd_trajectories(args) -> int:
             + [f"y{j + 1}" for j in range(traj.outcomes.shape[2])]
         )
         writer.writerow(header)
-        for i in range(traj.outcomes.shape[0]):
-            for g in range(traj.x_grid.shape[0]):
-                writer.writerow(
-                    [i]
-                    + [repr(float(v)) for v in traj.x_grid[g]]
-                    + [repr(float(v)) for v in traj.outcomes[i, g]]
-                )
+        x_grid = traj.x_grid.tolist()
+        for i, curve in enumerate(traj.outcomes):
+            writer.writerows([i, *x, *y] for x, y in zip(x_grid, curve.tolist()))
     _emit(
         {
             "command": "trajectories",

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataError, MissingValueError, SchemaError
+from .errors import ConfigError, DataError, MissingValueError, SchemaError, as_index
 
 ROLES = ("outcome", "treatment", "covariate", "ignored")
 KINDS = ("numeric", "categorical")
@@ -44,11 +44,10 @@ class Variable:
         if self.kind not in KINDS:
             raise SchemaError(f"unknown kind {self.kind!r} for {self.name!r}")
         if self.role == "outcome":
-            if self.position is None or int(self.position) < 0:
-                raise SchemaError(
-                    f"outcome variable {self.name!r} needs a nonnegative position"
-                )
-            object.__setattr__(self, "position", int(self.position))
+            position = as_index(self.position, f"outcome position of {self.name!r}", SchemaError)
+            if position < 0:
+                raise SchemaError(f"outcome variable {self.name!r} needs a nonnegative position")
+            object.__setattr__(self, "position", position)
         elif self.position is not None:
             raise SchemaError(f"{self.name!r} has a position but is not an outcome")
 

@@ -6,6 +6,8 @@ bugs. The leaf classes are coarse on purpose: the message carries the
 specifics, the class carries the kind of failure.
 """
 
+import operator
+
 
 class PocError(Exception):
     """Base class for all errors raised by this package."""
@@ -45,3 +47,13 @@ class SingularError(PocError):
 
 class DegenerateError(PocError):
     """Every bootstrap replicate failed; no distribution to summarize."""
+
+
+def as_index(value, what: str, error: type[PocError] = ConfigError) -> int:
+    """value as an int if it is an integer other than a bool; 2.0 is not."""
+    try:
+        if not isinstance(value, bool):
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise error(f"{what} must be an integer, got {value!r}")

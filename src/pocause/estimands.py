@@ -30,9 +30,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .bootstrap import BootstrapResult, bootstrap
 from .cdf import EmpiricalCdf, LogisticCdf
 from .dataset import DataTable
-from .errors import ConfigError, NotIdentifiedError
+from .errors import ConfigError, NotIdentifiedError, as_index
 from .ordering import OrderSpec, order_from_dict
 
 QUERY_KINDS = (
@@ -212,6 +213,9 @@ class CovariateRow:
 
     row: int
 
+    def __post_init__(self):
+        object.__setattr__(self, "row", as_index(self.row, "covariate row"))
+
 
 def _vec(v, name: str) -> tuple[float, ...]:
     try:
@@ -321,7 +325,7 @@ def query_from_dict(obj: dict) -> PoCQuery:
         if isinstance(c, dict):
             if set(c) != {"row"}:
                 raise ConfigError('covariate reference must be {"row": k}')
-            covariates = CovariateRow(row=int(c["row"]))
+            covariates = CovariateRow(row=c["row"])
         else:
             covariates = _vec(c, "c")
 
@@ -398,7 +402,7 @@ class PoCEstimate:
         }
 
 
-def build_estimator(table: DataTable, order: OrderSpec | None, config: EstimatorConfig):
+def _build_estimator(table: DataTable, order: OrderSpec | None, config: EstimatorConfig):
     if config.method == "empirical":
         return EmpiricalCdf(table, order)
     return LogisticCdf(table, order, ridge=config.ridge)
@@ -422,14 +426,6 @@ def _resolve_covariates(table: DataTable, query: PoCQuery) -> tuple[float, ...]:
     if len(cov) != n_c:
         raise ConfigError(f"query c has {len(cov)} values, table has {n_c} covariates")
     return cov
-
-
-def _bind_covariate_row(table: DataTable, query: PoCQuery) -> PoCQuery:
-    """query with a {"row": k} reference replaced by row k's covariates in
-    table, so that every resample of table conditions on that same unit."""
-    if not isinstance(query.covariates, CovariateRow):
-        return query
-    return replace(query, covariates=_resolve_covariates(table, query))
 
 
 def _gather(estimator, query: PoCQuery, profiles: np.ndarray):
@@ -475,7 +471,7 @@ def evaluate_query(
         return marginal_pns(table, query, config)
 
     c = _resolve_covariates(table, query)
-    estimator = build_estimator(table, query.order, config)
+    estimator = _build_estimator(table, query.order, config)
     upper, lower, evidence, notes = _gather(
         estimator, query, np.array(c, dtype=float).reshape(1, -1)
     )
@@ -511,6 +507,33 @@ def evaluate_query(
     )
 
 
+def estimate_with_interval(
+    table: DataTable,
+    query: PoCQuery,
+    config: EstimatorConfig | None = None,
+    *,
+    n_boot: int = 0,
+    seed: int = 0,
+    alpha: float = 0.05,
+    threads: int = 1,
+) -> tuple[PoCEstimate, BootstrapResult | None]:
+    """Answer a query against a table, with a bootstrap interval when
+    n_boot > 0 (None otherwise).
+
+    A {"row": k} reference is bound to row k's covariates in table first,
+    so every resample conditions on that same unit, not on whichever unit
+    the resample puts at row k.
+    """
+    if isinstance(query.covariates, CovariateRow):
+        query = replace(query, covariates=_resolve_covariates(table, query))
+    estimate = evaluate_query(table, query, config)
+    if n_boot <= 0:
+        return estimate, None
+    interval = bootstrap(table, lambda t: evaluate_query(t, query, config).value,
+                         n_boot=n_boot, seed=seed, alpha=alpha, threads=threads)
+    return estimate, interval
+
+
 def marginal_pns(
     table: DataTable,
     query: PoCQuery,
@@ -525,7 +548,7 @@ def marginal_pns(
     config = config or EstimatorConfig()
     if query.kind != "marginal_pns":
         raise ConfigError(f"marginal_pns got a {query.kind!r} query")
-    estimator = build_estimator(table, query.order, config)
+    estimator = _build_estimator(table, query.order, config)
 
     cov = table.covariates()
     if cov.shape[1] == 0:

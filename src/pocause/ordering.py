@@ -35,7 +35,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, as_index
 
 
 class Ordering(enum.IntEnum):
@@ -71,7 +71,7 @@ class Lexicographic:
     direction: tuple[str, ...]
 
     def __post_init__(self):
-        prio = tuple(int(p) for p in self.priority)
+        prio = tuple(as_index(p, "each priority entry") for p in self.priority)
         direc = tuple(str(d) for d in self.direction)
         if not prio:
             raise ConfigError("lexicographic order needs at least one component")

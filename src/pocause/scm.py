@@ -33,10 +33,10 @@ from itertools import chain, combinations
 
 import numpy as np
 
-from .bootstrap import bootstrap, derived_rng
+from .bootstrap import derived_rng
 from .dataset import DataTable, TableSchema, Variable
 from .errors import ConfigError, NoSupportError, PocError
-from .estimands import EstimatorConfig, Evidence, PoCQuery, evaluate_query
+from .estimands import EstimatorConfig, Evidence, PoCQuery, estimate_with_interval, evaluate_query
 from .ordering import (
     Ordering,
     OrderSpec,
@@ -1076,16 +1076,15 @@ def validate_spec(
             x_ev = tuple(sup[n_levels // 2])
             y_ev = tuple(_counterfactuals(spec, c, u_star.reshape(1, -1))(x_ev)[0])
         q_ev = query("pns_evidence", [y_mid], [x0, x1], Evidence(y=y_ev, x=x_ev))
-        est = evaluate_query(table, q_ev, config)
+        est, boot = estimate_with_interval(
+            table, q_ev, config, n_boot=200 if tabular else 0, seed=seed
+        )
         orc = oracle_evidence(
             spec, [y_mid], [x0, x1], y_ev, x_ev, c,
             n_mc=n_mc, seed=seed, atom_tol=config.atom_tol,
         )
         gap = abs(est.value - orc.value)
         if tabular:
-            boot = bootstrap(
-                table, lambda t: evaluate_query(t, q_ev, config).value, n_boot=200, seed=seed
-            )
             band = 3.0 * float(np.hypot(orc.std_error, boot.boot_sd))
             check(
                 "evidence_atoms",

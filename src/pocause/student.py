@@ -38,17 +38,10 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 
-from .bootstrap import BootstrapResult, bootstrap
+from .bootstrap import BootstrapResult
 from .dataset import DataTable, TableSchema, load_table, schema_from_dict
 from .errors import ConfigError
-from .estimands import (
-    CovariateRow,
-    EstimatorConfig,
-    Evidence,
-    PoCQuery,
-    _bind_covariate_row,
-    evaluate_query,
-)
+from .estimands import CovariateRow, EstimatorConfig, Evidence, PoCQuery, estimate_with_interval
 from .ordering import Lexicographic
 
 VARIANTS = ("joint", "studytime", "paid")
@@ -234,24 +227,15 @@ def reproduce_student(
 
     rows: list[StudyRow] = []
     for study, estimand, query in study_queries(variant):
-        query = _bind_covariate_row(table, query)
-        value = evaluate_query(table, query, config).value
-        interval = None
-        if n_boot > 0:
-            interval = bootstrap(
-                table,
-                lambda t, q=query: evaluate_query(t, q, config).value,
-                n_boot=n_boot,
-                seed=seed,
-                alpha=alpha,
-                threads=threads,
-            )
+        estimate, interval = estimate_with_interval(
+            table, query, config, n_boot=n_boot, seed=seed, alpha=alpha, threads=threads
+        )
         rows.append(StudyRow(
             study=study,
             estimand=estimand,
-            value=value,
+            value=estimate.value,
             target=TARGETS[variant].get((study, estimand)),
-            within_band=_check_band((study, estimand), value) if gate else None,
+            within_band=_check_band((study, estimand), estimate.value) if gate else None,
             interval=interval,
         ))
 

@@ -287,3 +287,26 @@ def test_equal_indicator_columns_share_one_fit(monkeypatch):
 def test_order_defaults_to_first_component_ascending(small_table):
     est = EmpiricalCdf(small_table)
     assert est.order == lexicographic_default(1)
+
+
+def _masked_sigmoid(eta):
+    """The boolean-mask logistic function _sigmoid replaced, kept as its
+    reference."""
+    out = np.empty_like(eta, dtype=float)
+    pos = eta >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
+    ez = np.exp(eta[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+@pytest.mark.parametrize("scale", [1.0, 10.0, 800.0])
+def test_sigmoid_matches_the_masked_version_bit_for_bit(scale):
+    rng = np.random.default_rng(int(scale))
+    eta = np.concatenate([
+        scale * rng.standard_normal(5000),
+        [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 710.0, -710.0, 745.5, -745.5],
+    ])
+    new, old = cdf._sigmoid(eta), _masked_sigmoid(eta)
+    assert new.dtype == old.dtype == np.float64
+    assert new.tobytes() == old.tobytes()

@@ -138,6 +138,23 @@ def test_bootstrap_binds_the_covariate_row_before_resampling(workdir, capsys):
             {"order": {"kind": "lexicographic", "priority": [0, 1], "directions": ["desc", "asc"]}},
             "unknown order fields: ['directions']", id="order-field",
         ),
+        pytest.param(
+            {"order": {"kind": "lexicographic", "priority": [1.9, 0.2]}},
+            "each priority entry must be an integer, got 1.9", id="priority-float",
+        ),
+        pytest.param(
+            {"order": {"kind": "lexicographic", "priority": ["a", 0]}},
+            "each priority entry must be an integer, got 'a'", id="priority-string",
+        ),
+        pytest.param(
+            {"c": {"row": 2.7}}, "covariate row must be an integer, got 2.7", id="row-float",
+        ),
+        pytest.param(
+            {"c": {"row": True}}, "covariate row must be an integer, got True", id="row-bool",
+        ),
+        pytest.param(
+            {"c": {"row": "x"}}, "covariate row must be an integer, got 'x'", id="row-string",
+        ),
     ],
 )
 def test_bad_query_for_a_two_outcome_table_is_a_config_error(query, message, tmp_path, capsys):
@@ -212,6 +229,16 @@ def test_validate_small_run_passes(tmp_path, capsys):
     report = json.loads(out.read_text(encoding="utf-8"))
     assert report["all_pass"] is True
     assert any(row["name"] == "pns_vs_oracle" for row in report["checks"])
+
+
+def test_validate_tabular_at_cli_defaults_passes_the_evidence_check(tmp_path, capsys):
+    """The tabular model's evidence check, with its 200-replicate interval."""
+    out = tmp_path / "validation.json"
+    assert main(["validate", "--spec", "tabular", "--seed", "301", "--out", str(out)]) == 0
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert report["all_pass"] is True
+    (evidence,) = [row for row in report["checks"] if row["name"] == "evidence_atoms"]
+    assert evidence["status"] == "pass"
 
 
 @pytest.mark.parametrize("n_mc", ["0", "-3"])

@@ -145,3 +145,14 @@ def test_duplicate_outcome_positions_rejected():
                 Variable("x", "treatment"),
             )
         )
+
+
+@pytest.mark.parametrize("position", [1.7, 1.0, True, "x"])
+def test_outcome_position_must_be_an_integer(position):
+    """A position that is not an integer is an error, not a truncation."""
+    with pytest.raises(SchemaError, match="outcome position of 'b' must be an integer"):
+        schema_from_dict({"variables": [
+            {"name": "a", "role": {"outcome": 0}},
+            {"name": "b", "role": {"outcome": position}},
+            {"name": "x", "role": "treatment"},
+        ]})

@@ -12,7 +12,6 @@ from pocause import (
     PoCQuery,
     binary_poc,
     evaluate_query,
-    build_estimator,
     load_scm,
     marginal_pns,
     packaged_spec_path,
@@ -27,6 +26,7 @@ from pocause import (
     scm_from_dict,
     simulate,
 )
+from pocause.estimands import _build_estimator
 
 EXACT = 1e-12
 
@@ -342,7 +342,7 @@ def test_marginal_matches_a_per_profile_loop(method):
     query = PoCQuery(kind="marginal_pns", thresholds=(y,), treatments=(x0, x1), order=spec.order)
     est = marginal_pns(table, query, config)
 
-    reference = build_estimator(table, spec.order, config)
+    reference = _build_estimator(table, spec.order, config)
     profiles, counts = np.unique(table.covariates(), axis=0, return_counts=True)
     total, clamped = 0.0, 0
     for c, w in zip(profiles.tolist(), counts / counts.sum()):

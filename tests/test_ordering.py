@@ -109,6 +109,11 @@ def test_indicator_below_matches_scalar_compare(rows, t, order):
         {"kind": "lexicographic", "priority": [0, 1], "directions": ["desc", "asc"]},
         {"kind": "scalar_score", "weights": [1.0], "priority": [0]},
         {"kind": "lexicographic", "priority": []},
+        {"kind": "lexicographic", "priority": [1.9, 0.2]},
+        {"kind": "lexicographic", "priority": [True, False]},
+        {"kind": "lexicographic", "priority": ["1", "0"]},
+        {"kind": "lexicographic", "priority": ["a", 0]},
+        {"kind": "lexicographic", "priority": [1.0, 0.0]},
     ],
 )
 def test_order_from_dict_rejects_malformed(payload):

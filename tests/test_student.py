@@ -124,6 +124,22 @@ def test_every_replicate_conditions_on_the_first_row(grade_file):
         )
 
 
+def test_649_row_file_gets_a_verdict_per_banded_row(tmp_path):
+    """On a file the size of the Portuguese course file, the joint variant
+    is gated: every banded row gets a verdict and the report ends with the
+    overall one."""
+    path = tmp_path / "grades649.csv"
+    path.write_text(COLUMNS + "\n" + "\n".join(_synthetic_rows(649)) + "\n", encoding="utf-8")
+    report = reproduce_student(path, n_boot=0)
+    assert report.dataset == "portuguese-649"
+    verdicts = [row.within_band for row in report.rows]
+    assert all(isinstance(v, bool) for v in verdicts)
+    # Synthetic grades miss the published targets except study2's bound.
+    assert verdicts == [False, False, False, True, False, False]
+    assert report.all_within_bands is False
+    assert format_student_report(report).endswith("\nsome studies off target")
+
+
 def test_point_only_run_skips_bootstrap(grade_file):
     report = reproduce_student(grade_file, n_boot=0, seed=1)
     assert all(row.interval is None for row in report.rows)
