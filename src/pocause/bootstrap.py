@@ -69,6 +69,20 @@ class BootstrapResult:
         }
 
 
+def interval_settings(n_boot, alpha, threads, min_boot: int = 1) -> tuple[int, float, int]:
+    """n_boot, alpha and threads as an int, a float and an int, once each is
+    known to be usable: at least min_boot replicates, alpha in (0, 1) and at
+    least one thread."""
+    n_boot, alpha, threads = int(n_boot), float(alpha), int(threads)
+    if n_boot < min_boot:
+        raise ConfigError(f"bootstrap replicate count must be >= {min_boot}, got {n_boot}")
+    if not 0.0 < alpha < 1.0:
+        raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
+    if threads < 1:
+        raise ConfigError(f"need at least one thread, got {threads}")
+    return n_boot, alpha, threads
+
+
 def bootstrap(
     table: DataTable,
     pipeline,
@@ -87,16 +101,7 @@ def bootstrap(
     nothing to wrap an interval around. DegenerateError means every single
     replicate failed.
     """
-    n_boot = int(n_boot)
-    threads = int(threads)
-    alpha = float(alpha)
-    if n_boot < 1:
-        raise ConfigError(f"need at least one bootstrap replicate, got {n_boot}")
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
-    if threads < 1:
-        raise ConfigError(f"need at least one thread, got {threads}")
-
+    n_boot, alpha, threads = interval_settings(n_boot, alpha, threads)
     point = float(pipeline(table))
     n = table.n_rows
     if n == 0:

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bootstrap import BootstrapResult, bootstrap
+from .bootstrap import BootstrapResult, bootstrap, interval_settings
 from .cdf import EmpiricalCdf, LogisticCdf
 from .dataset import DataTable
 from .errors import ConfigError, NotIdentifiedError, as_index
@@ -522,12 +522,14 @@ def estimate_with_interval(
 
     A {"row": k} reference is bound to row k's covariates in table first,
     so every resample conditions on that same unit, not on whichever unit
-    the resample puts at row k.
+    the resample puts at row k. The interval arguments are checked even
+    when n_boot is 0.
     """
+    n_boot, alpha, threads = interval_settings(n_boot, alpha, threads, min_boot=0)
     if isinstance(query.covariates, CovariateRow):
         query = replace(query, covariates=_resolve_covariates(table, query))
     estimate = evaluate_query(table, query, config)
-    if n_boot <= 0:
+    if n_boot == 0:
         return estimate, None
     interval = bootstrap(table, lambda t: evaluate_query(t, query, config).value,
                          n_boot=n_boot, seed=seed, alpha=alpha, threads=threads)

@@ -697,25 +697,49 @@ def _counterfactuals(spec: ScmSpec, c, U: np.ndarray):
     return at
 
 
-def _event_mask(spec: ScmSpec, event: CounterfactualEvent, c, U: np.ndarray) -> np.ndarray:
-    order = spec.outcome_order
-    at = _counterfactuals(spec, c, U)
-    ok = np.ones(U.shape[0], dtype=bool)
-    for clause in event.clauses:
-        if clause.below is not None:
-            ok &= indicator_below(at(clause.x), clause.below, order)[0]
-        if clause.at_least is not None:
-            ok &= ~indicator_below(at(clause.x), clause.at_least, order)[0]
-    return ok
-
-
 @dataclass(frozen=True)
 class OracleResult:
+    """An event's probability and, from the same draws, the probability of
+    each of its clauses on its own (in clause order)."""
+
     value: float
     std_error: float
     n_mc: int
     n_used: int
     exact: bool = False
+    clause_values: tuple = ()
+
+
+def _oracle_result(
+    spec: ScmSpec, event: CounterfactualEvent, c, U: np.ndarray, n_mc: int, exact: bool = False
+) -> OracleResult:
+    """The frequency of event, and of each of its clauses on its own, over
+    the latent rows of U (n_mc counts the draws made before any rejection)."""
+    order = spec.outcome_order
+    ok = np.ones(U.shape[0], dtype=bool)
+    clause_values = []
+    for clause in event.clauses:
+        y = _counterfactuals(spec, c, U)(clause.x)
+        below = at_least = True
+        if clause.below is not None:
+            below = indicator_below(y, clause.below, order)[0]
+        if clause.at_least is not None:
+            at_least = ~indicator_below(y, clause.at_least, order)[0]
+        hit = below & at_least
+        clause_values.append(float(hit.mean()))
+        ok &= hit
+        # Only the running mask outlives a clause: a treatment two clauses
+        # share is evaluated twice rather than held.
+        del y, below, at_least, hit
+    v = float(ok.mean())
+    return OracleResult(
+        value=v,
+        std_error=float(np.sqrt(v * (1.0 - v) / U.shape[0])),
+        n_mc=n_mc,
+        n_used=U.shape[0],
+        exact=exact,
+        clause_values=tuple(clause_values),
+    )
 
 
 def oracle_joint(
@@ -727,14 +751,7 @@ def oracle_joint(
     recover: no CDFs, no modeling, just the mechanism run both ways.
     """
     U = _latents(spec, n_mc, seed, _STREAM_ORACLE_JOINT)
-    v = float(_event_mask(spec, event, c, U).mean())
-    n_mc = U.shape[0]
-    return OracleResult(
-        value=v,
-        std_error=float(np.sqrt(v * (1.0 - v) / n_mc)),
-        n_mc=n_mc,
-        n_used=n_mc,
-    )
+    return _oracle_result(spec, event, c, U, U.shape[0])
 
 
 def oracle_evidence(
@@ -772,28 +789,17 @@ def oracle_evidence(
                 "the observed outcome cannot occur under this mechanism "
                 f"(implied latent {u_star.tolist()} is outside the noise support)"
             )
-        ok = _event_mask(spec, event, c_arr, u_star.reshape(1, -1))
-        return OracleResult(
-            value=float(ok[0]), std_error=0.0, n_mc=1, n_used=1, exact=True
-        )
+        return _oracle_result(spec, event, c_arr, u_star.reshape(1, -1), 1, exact=True)
 
     U = _latents(spec, n_mc, seed, _STREAM_ORACLE_EVIDENCE)
     Yx = _counterfactuals(spec, c_arr, U)(ev_x)
     match = np.max(np.abs(Yx - ev_y), axis=1) <= atom_tol
-    n_used = int(match.sum())
-    if n_used == 0:
+    if not match.any():
         raise NoSupportError(
             f"no draws produced the observed outcome {ev_y.tolist()} "
             f"under treatment {ev_x.tolist()}; it has no support there"
         )
-    ok = _event_mask(spec, event, c_arr, U[match])
-    v = float(ok.mean())
-    return OracleResult(
-        value=v,
-        std_error=float(np.sqrt(v * (1.0 - v) / n_used)),
-        n_mc=U.shape[0],
-        n_used=n_used,
-    )
+    return _oracle_result(spec, event, c_arr, U[match], U.shape[0])
 
 
 @dataclass(frozen=True)
@@ -822,6 +828,9 @@ def check_monotonicity(
     grid; a mechanism that keeps it at zero (up to Monte Carlo noise) is
     consistent with the assumption, one that pushes it well above zero is
     caught red-handed.
+
+    Every flip is counted exactly, from ranks: with the distinct thresholds
+    sorted, each Y(x) strictly precedes the thresholds from its rank on.
     """
     order = spec.outcome_order
     if pairs is None:
@@ -831,25 +840,42 @@ def check_monotonicity(
     thresholds = [tuple(float(v) for v in t) for t in thresholds]
     if not thresholds:
         raise ConfigError("need at least one threshold to probe")
+    for t in thresholds:
+        if len(t) != spec.n_outcomes:
+            raise ConfigError(f"rows have {spec.n_outcomes} components, threshold has {len(t)}")
+    # Equal thresholds (0.0 and -0.0 included) take one place on the ladder.
+    ladder = _sorted_rows(_matrix(list(dict.fromkeys(thresholds)), "thresholds"), order)
+    n_t = ladder.shape[0]
 
     U = _latents(spec, n_mc, seed, _STREAM_MONOTONICITY)
     n_mc = U.shape[0]
-    at = _counterfactuals(spec, _reference_c(spec) if c is None else c, U)
+    c = _reference_c(spec) if c is None else c
 
     def key(x):
         return np.asarray(x, dtype=float).tobytes()
 
-    distinct = {key(x): x for x in chain.from_iterable(pairs)}
-    column = {y: j for j, y in enumerate(dict.fromkeys(thresholds))}
-    violation = np.empty((len(pairs), len(column)))
-    for y, j in column.items():
-        strict = {k: indicator_below(at(x), y, order)[0] for k, x in distinct.items()}
-        for i, (xa, xb) in enumerate(pairs):
-            sa, sb = strict[key(xa)], strict[key(xb)]
-            violation[i, j] = min(np.mean(sa & ~sb), np.mean(sb & ~sa))
-    # Equal thresholds share a column. argmax takes the first largest in
-    # pair-major order.
-    violation = violation[:, [column[y] for y in thresholds]]
+    def at_most(ranks):
+        """Draws of rank at most j, for each ladder position j."""
+        return np.cumsum(np.bincount(ranks, minlength=n_t + 1))[:n_t]
+
+    rank = {}
+    for x in chain.from_iterable(pairs):
+        if key(x) not in rank:
+            # Only the ranks of each Y(x) outlive its ranking.
+            rank[key(x)] = _threshold_ranks(_counterfactuals(spec, c, U)(x), ladder, order)
+    below = {k: at_most(r) for k, r in rank.items()}
+    flips = np.empty((len(pairs), n_t), dtype=np.int64)
+    for i, (xa, xb) in enumerate(pairs):
+        ka, kb = key(xa), key(xb)
+        # Y(xa) before ladder[j] and Y(xb) not is below[ka] less the draws
+        # before it under both; the mirror likewise.
+        both = at_most(np.maximum(rank[ka], rank[kb]))
+        flips[i] = np.minimum(below[ka], below[kb]) - both
+    # Each threshold reads the last ladder column it reaches, which it ties,
+    # and tied thresholds split the draws alike. argmax takes the first
+    # largest in pair-major order.
+    columns = _threshold_ranks(np.asarray(thresholds), ladder, order).astype(np.intp) - 1
+    violation = flips[:, columns] / n_mc
     i, j = np.unravel_index(np.argmax(violation), violation.shape)
     v = float(violation[i, j])
     return MonotonicityReport(
@@ -859,6 +885,34 @@ def check_monotonicity(
         at_threshold=thresholds[j],
         n_mc=n_mc,
     )
+
+
+def _threshold_ranks(rows: np.ndarray, ladder: np.ndarray, order: OrderSpec) -> np.ndarray:
+    """For each of the (n, d) rows, how many thresholds of ladder (ascending
+    under order) precede or tie it, as the smallest unsigned type that holds
+    len(ladder). A row strictly precedes exactly the thresholds from its rank on.
+
+    One search on the first sort key ranks every row that ties no threshold
+    there; a row that does is bisected inside its tie range with compare.
+    """
+    first = order.keys(ladder)[0]
+    row_keys = order.keys(rows)
+    dtype = np.min_scalar_type(len(ladder))
+    ranks = np.searchsorted(first, row_keys[0], side="right").astype(dtype)
+    if len(row_keys) > 1:
+        lo = np.searchsorted(first, row_keys[0], side="left")
+        tied = np.flatnonzero(lo < ranks)
+        tied_rows, lo, hi = rows[tied], lo[tied], ranks[tied]
+        open_ = lo < hi
+        while open_.any():
+            mid = (lo + hi) // 2
+            # A closed row's mid may be len(ladder); its answer is kept.
+            reached = compare(ladder[np.minimum(mid, len(ladder) - 1)], tied_rows, order) <= 0
+            lo = np.where(open_ & reached, mid + 1, lo)
+            hi = np.where(open_ & ~reached, mid, hi)
+            open_ = lo < hi
+        ranks[tied] = lo
+    return ranks
 
 
 def _sorted_rows(rows: np.ndarray, order: OrderSpec) -> np.ndarray:
@@ -1005,16 +1059,14 @@ def validate_spec(
     # oracle. Under a broken monotonicity assumption these are expected to
     # disagree, so they are recorded without a verdict there.
     try:
+        # The flip's clauses are Y(x0) short of y_mid and Y(x1) reaching it.
         o_flip = oracle_joint(spec, flip_event([y_mid], [x0, x1]), c, n_mc, seed)
-        o_reach, o_short = (
-            oracle_joint(spec, CounterfactualEvent((clause,)), c, n_mc, seed)
-            for clause in (CfClause(x=x1, at_least=y_mid), CfClause(x=x0, below=y_mid))
-        )
+        short, reach = o_flip.clause_values
         targets = {"pns": o_flip.value}
-        if o_reach.value > 0:
-            targets["pn"] = o_flip.value / o_reach.value
-        if o_short.value > 0:
-            targets["ps"] = o_flip.value / o_short.value
+        if reach > 0:
+            targets["pn"] = o_flip.value / reach
+        if short > 0:
+            targets["ps"] = o_flip.value / short
         for kind, target in targets.items():
             value = evaluate_query(table, query(kind, [y_mid], [x0, x1]), config).value
             gap = abs(value - target)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -19,6 +20,8 @@ SCHEMA = {
 }
 
 QUERY = {"kind": "pns", "threshold": [3.0], "x0": [0.0], "x1": [1.0], "c": [0.0]}
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture
@@ -179,6 +182,41 @@ def test_negative_seed_is_rejected(workdir, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        pytest.param(["--bootstrap", "-5"], "bootstrap replicate count must be >= 0, got -5",
+                     id="negative-bootstrap"),
+        pytest.param(["--threads", "0"], "need at least one thread, got 0", id="no-threads"),
+        pytest.param(["--bootstrap", "3", "--threads", "-2"], "need at least one thread, got -2",
+                     id="negative-threads"),
+        pytest.param(["--alpha", "7"], "alpha must be in (0, 1), got 7.0", id="alpha-above"),
+        pytest.param(["--alpha", "0"], "alpha must be in (0, 1), got 0.0", id="alpha-zero"),
+    ],
+)
+def test_bad_interval_arguments_are_config_errors(extra, message, workdir, capsys):
+    """Interval arguments are checked whether or not a replicate runs."""
+    assert main(_estimate_args(workdir, *extra)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"]["type"] == "ConfigError"
+    assert err["error"]["message"] == message
+
+
+def test_reproduce_student_rejects_a_negative_bootstrap(tmp_path, capsys):
+    from test_student import COLUMNS, _synthetic_rows
+
+    path = tmp_path / "grades.csv"
+    path.write_text(COLUMNS + "\n" + "\n".join(_synthetic_rows()) + "\n", encoding="utf-8")
+    assert main(["reproduce-student", "--data", str(path), "--bootstrap", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"]["message"] == (
+        "bootstrap replicate count must be >= 0, got -1"
+    )
+
+
 def test_simulate_estimate_round_trip(tmp_path, capsys):
     csv = tmp_path / "sim.csv"
     schema = tmp_path / "sim.schema.json"
@@ -231,6 +269,19 @@ def test_validate_small_run_passes(tmp_path, capsys):
     assert any(row["name"] == "pns_vs_oracle" for row in report["checks"])
 
 
+def _golden_report(spec: str) -> bytes:
+    return (GOLDEN / f"validate_{spec}_seed301.json").read_bytes()
+
+
+@pytest.mark.parametrize("spec", ["additive_scalar", "lexi2", "nonmono"])
+def test_validate_report_matches_its_golden(spec, tmp_path, capsys):
+    """poc validate at the CLI defaults and seed 301 writes, byte for byte,
+    the report recorded in tests/golden."""
+    out = tmp_path / "validation.json"
+    assert main(["validate", "--spec", spec, "--seed", "301", "--out", str(out)]) == 0
+    assert out.read_bytes() == _golden_report(spec)
+
+
 def test_validate_tabular_at_cli_defaults_passes_the_evidence_check(tmp_path, capsys):
     """The tabular model's evidence check, with its 200-replicate interval."""
     out = tmp_path / "validation.json"
@@ -239,6 +290,7 @@ def test_validate_tabular_at_cli_defaults_passes_the_evidence_check(tmp_path, ca
     assert report["all_pass"] is True
     (evidence,) = [row for row in report["checks"] if row["name"] == "evidence_atoms"]
     assert evidence["status"] == "pass"
+    assert out.read_bytes() == _golden_report("tabular")
 
 
 @pytest.mark.parametrize("n_mc", ["0", "-3"])

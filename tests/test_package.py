@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -30,4 +31,26 @@ def test_module_imports_on_its_own(module):
         f"importlib.import_module('pocause.{module}')\n"
     )
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+
+
+DEMOS = sorted((Path(__file__).parent.parent / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
+def test_demo_runs(demo, tmp_path):
+    """Each demo script runs to completion against the package in src/; the
+    case study runs on a synthetic 649-row grade file."""
+    args = [sys.executable, str(demo)]
+    if demo.stem == "student_reproduction":
+        from test_student import COLUMNS, _synthetic_rows
+
+        grades = tmp_path / "grades.csv"
+        rows = "\n".join(_synthetic_rows(649))
+        grades.write_text(f"{COLUMNS}\n{rows}\n", encoding="utf-8")
+        args += [str(grades), "--bootstrap", "5"]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(PACKAGE_DIR.parent), os.environ.get("PYTHONPATH")])
+    )}
+    result = subprocess.run(args, capture_output=True, text=True, cwd=tmp_path, env=env)
     assert result.returncode == 0, result.stderr

@@ -87,6 +87,24 @@ def test_oracle_single_clause_reach_probability():
     assert abs(result.value - truth) < ORACLE_SIGMAS * result.std_error
 
 
+@pytest.mark.parametrize("name", ["additive_scalar", "lexi2", "nonmono", "tabular"])
+def test_clause_values_match_one_clause_oracles(name):
+    """Each clause's probability, read off one oracle call, is bit for bit
+    what an oracle call on that clause alone gives."""
+    spec = _spec(name)
+    thresholds, _ = monotonicity_probe(spec, n_thresholds=9, n_pilot=900, seed=4)
+    sup = [tuple(x) for x in spec.policy.support]
+    c = tuple(spec.covariates.support[0]) if spec.covariates is not None else ()
+    for event in (flip_event([thresholds[4]], [sup[0], sup[-1]]),
+                  flip_event([thresholds[2], thresholds[6]], [sup[0], sup[-1], sup[0]])):
+        got = oracle_joint(spec, event, c, n_mc=20_000, seed=8)
+        assert len(got.clause_values) == len(event.clauses)
+        for clause, value in zip(event.clauses, got.clause_values):
+            alone = oracle_joint(spec, CounterfactualEvent((clause,)), c, n_mc=20_000, seed=8)
+            assert alone.clause_values == (alone.value,)
+            assert value.hex() == alone.value.hex()
+
+
 def test_pinned_evidence_oracle_is_exact():
     spec = _spec("additive_scalar")
     result = oracle_evidence(
@@ -526,6 +544,88 @@ def test_monotonicity_check_matches_the_cached_double_loop(name, seed):
         got = check_monotonicity(spec, ts, pairs=ps, n_mc=3_000, seed=seed)
         assert got == _cached_monotonicity(spec, ts, ps, n_mc=3_000, seed=seed)
         assert type(got.at_pair[0]) is type(ps[0][0])
+
+
+def _tied_tabular():
+    """A nonmonotone tabular model whose two-component levels all tie on
+    their first component, 0.0 and -0.0 both, under an asc/desc order."""
+    obj = json.load(open(packaged_spec_path("tabular"), encoding="utf-8"))
+    obj["mean"]["levels"] = [[0.0, 1.0], [-0.0, 0.0], [0.0, -1.0]]
+    obj["order"] = {"kind": "lexicographic", "priority": [0, 1], "direction": ["asc", "desc"]}
+    obj["coupling"] = {"kind": "nonmonotone_test", "flip_at": 1.5}
+    return scm_from_dict(obj)
+
+
+def _edge_case(name):
+    if name == "signed-zeros":
+        spec = _tied_tabular()
+        zeros = [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0)]
+        return spec, zeros + [(0.0, 0.5), (0.0, 1.0), (-0.0, -1.0)] + zeros[::-1], True
+    if name == "tied-scores":
+        obj = json.load(open(packaged_spec_path("lexi2"), encoding="utf-8"))
+        obj["order"] = {"kind": "scalar_score", "weights": [1.0, 2.0]}
+        obj["coupling"] = {"kind": "nonmonotone_test", "flip_at": 0.5}
+        # Distinct thresholds, four of them with score 1 and two with score 0.
+        ties = [(0.0, 0.0), (1.0, 0.0), (0.0, 0.5), (-1.0, 1.0), (2.0, -1.0), (0.5, 0.25)]
+        return scm_from_dict(obj), ties + [(0.3, 0.1), (-0.5, 0.9)], True
+    if name == "over-255":
+        spec = _spec("nonmono")
+        thresholds, _ = monotonicity_probe(spec, n_thresholds=300, n_pilot=3000, seed=4)
+        assert len(set(thresholds)) > 255
+        return spec, thresholds, True
+    spec = _spec("nonmono") if name == "above-all" else _tied_tabular()
+    return spec, [(1e9 + k,) * spec.n_outcomes for k in range(3)], False
+
+
+@pytest.mark.parametrize(
+    "name", ["signed-zeros", "tied-scores", "over-255", "above-all", "above-all-tied"]
+)
+def test_monotonicity_check_matches_the_cached_double_loop_at_the_edges(name):
+    """Repeated thresholds, 0.0 against -0.0, first-key ties, distinct
+    thresholds whose scores tie, more thresholds than a byte can rank, and
+    thresholds above every outcome."""
+    spec, thresholds, flips = _edge_case(name)
+    pairs = [(x, x) for x in map(tuple, spec.policy.support)] + [
+        tuple(map(tuple, spec.policy.support))
+    ]
+    got = check_monotonicity(spec, thresholds, pairs=pairs, n_mc=3_000, seed=6)
+    assert got == _cached_monotonicity(spec, thresholds, pairs, n_mc=3_000, seed=6)
+    assert (got.max_violation > 0) is flips
+
+
+def test_threshold_ranks_count_the_thresholds_each_row_reaches():
+    """Each row's rank is the number of thresholds it does not strictly
+    precede, over random orders (descending components and distinct
+    thresholds with tied scores included) and small-integer rows that
+    often tie a threshold on its first key."""
+    from pocause.ordering import indicator_below
+    from pocause.scm import _sorted_rows, _threshold_ranks
+
+    rng = np.random.default_rng(29)
+    values = [-2.0, -1.0, -0.0, 0.0, 1.0, 2.0]
+    for _ in range(300):
+        d = int(rng.integers(1, 5))
+        order = _random_order(rng, d)
+        distinct = np.unique(rng.choice(values, size=(int(rng.integers(1, 16)), d)), axis=0)
+        ladder = _sorted_rows(distinct, order)
+        rows = rng.choice(values + [-3.0, 3.0], size=(40, d))
+        ranks = _threshold_ranks(rows, ladder, order)
+        reached = sum(~indicator_below(rows, y, order)[0] for y in ladder)
+        assert ranks.dtype == np.uint8
+        np.testing.assert_array_equal(ranks, reached)
+
+
+def test_threshold_ranks_widen_past_255_thresholds():
+    from pocause.scm import _threshold_ranks
+
+    # Every threshold ties every row on the first key, so each rank comes
+    # from the bisection.
+    ladder = np.stack([np.zeros(300), np.arange(300.0)], axis=1)
+    rows = [[0.0, -1.0], [-0.0, 0.0], [0.0, 254.5], [0.0, 299.0], [0.0, 1e6],
+            [1.0, -5.0], [-1.0, 5e2]]
+    ranks = _threshold_ranks(np.asarray(rows), ladder, lexicographic_default(2))
+    assert ranks.dtype == np.uint16
+    assert ranks.tolist() == [0, 1, 255, 300, 300, 300, 0]
 
 
 def _pairwise_crossings(curves, order):
