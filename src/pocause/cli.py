@@ -100,8 +100,8 @@ def _cmd_estimate(args) -> int:
     table = load_table(args.data, schema, delimiter=args.delimiter)
     query = load_query(args.query)
     config = _estimator_config(args)
-    estimate, boot = estimate_with_interval(
-        table, query, config,
+    [(estimate, boot)] = estimate_with_interval(
+        table, [query], config,
         n_boot=args.bootstrap, seed=seed, alpha=args.alpha, threads=args.threads,
     )
     _emit(

@@ -26,11 +26,12 @@ the assumptions is the job of the scm module's oracles.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bootstrap import BootstrapResult, bootstrap, interval_settings
+from .bootstrap import RECOVERABLE, BootstrapResult, bootstrap, interval_settings
 from .cdf import EmpiricalCdf, LogisticCdf
 from .dataset import DataTable
 from .errors import ConfigError, NotIdentifiedError, as_index
@@ -469,9 +470,16 @@ def evaluate_query(
     config = config or EstimatorConfig()
     if query.kind == "marginal_pns":
         return marginal_pns(table, query, config)
+    return _answer(_build_estimator(table, query.order, config), table, query, config)
+
+
+def _answer(estimator, table: DataTable, query: PoCQuery, config: EstimatorConfig) -> PoCEstimate:
+    """Answer a query with an estimator already built on table for the
+    query's order and config."""
+    if query.kind == "marginal_pns":
+        return _average_pns(estimator, table, query)
 
     c = _resolve_covariates(table, query)
-    estimator = _build_estimator(table, query.order, config)
     upper, lower, evidence, notes = _gather(
         estimator, query, np.array(c, dtype=float).reshape(1, -1)
     )
@@ -509,31 +517,49 @@ def evaluate_query(
 
 def estimate_with_interval(
     table: DataTable,
-    query: PoCQuery,
+    queries: Sequence[PoCQuery],
     config: EstimatorConfig | None = None,
     *,
     n_boot: int = 0,
     seed: int = 0,
     alpha: float = 0.05,
     threads: int = 1,
-) -> tuple[PoCEstimate, BootstrapResult | None]:
-    """Answer a query against a table, with a bootstrap interval when
-    n_boot > 0 (None otherwise).
+) -> list[tuple[PoCEstimate, BootstrapResult | None]]:
+    """One (estimate, interval) pair per query: the interval is a bootstrap
+    one when n_boot > 0, None otherwise.
 
-    A {"row": k} reference is bound to row k's covariates in table first,
-    so every resample conditions on that same unit, not on whichever unit
-    the resample puts at row k. The interval arguments are checked even
-    when n_boot is 0.
+    The queries share one resampling run. Replicate b resamples the rows
+    once, builds one estimator per distinct order on it and answers every
+    query with that; each query's interval, failure count included, is the
+    one it gets on its own. A {"row": k} reference is bound to row k's
+    covariates in table first, so every resample conditions on that same
+    unit, not on whichever unit the resample puts at row k. The interval
+    arguments are checked even when n_boot is 0.
     """
     n_boot, alpha, threads = interval_settings(n_boot, alpha, threads, min_boot=0)
-    if isinstance(query.covariates, CovariateRow):
-        query = replace(query, covariates=_resolve_covariates(table, query))
-    estimate = evaluate_query(table, query, config)
+    config = config or EstimatorConfig()
+    queries = [
+        replace(q, covariates=_resolve_covariates(table, q))
+        if isinstance(q.covariates, CovariateRow) else q
+        for q in queries
+    ]
+    estimates = [evaluate_query(table, q, config) for q in queries]
     if n_boot == 0:
-        return estimate, None
-    interval = bootstrap(table, lambda t: evaluate_query(t, query, config).value,
-                         n_boot=n_boot, seed=seed, alpha=alpha, threads=threads)
-    return estimate, interval
+        return [(estimate, None) for estimate in estimates]
+
+    def answers(t: DataTable) -> list:
+        estimators, values = {}, []
+        for q in queries:
+            try:
+                if q.order not in estimators:
+                    estimators[q.order] = _build_estimator(t, q.order, config)
+                values.append(_answer(estimators[q.order], t, q, config).value)
+            except RECOVERABLE as exc:
+                values.append(exc)
+        return values
+
+    intervals = bootstrap(table, answers, n_boot=n_boot, seed=seed, alpha=alpha, threads=threads)
+    return list(zip(estimates, intervals))
 
 
 def marginal_pns(
@@ -550,8 +576,11 @@ def marginal_pns(
     config = config or EstimatorConfig()
     if query.kind != "marginal_pns":
         raise ConfigError(f"marginal_pns got a {query.kind!r} query")
-    estimator = _build_estimator(table, query.order, config)
+    return _average_pns(_build_estimator(table, query.order, config), table, query)
 
+
+def _average_pns(estimator, table: DataTable, query: PoCQuery) -> PoCEstimate:
+    """marginal_pns with an estimator already built on table."""
     cov = table.covariates()
     if cov.shape[1] == 0:
         profiles = np.empty((1, 0))

@@ -1128,8 +1128,8 @@ def validate_spec(
             x_ev = tuple(sup[n_levels // 2])
             y_ev = tuple(_counterfactuals(spec, c, u_star.reshape(1, -1))(x_ev)[0])
         q_ev = query("pns_evidence", [y_mid], [x0, x1], Evidence(y=y_ev, x=x_ev))
-        est, boot = estimate_with_interval(
-            table, q_ev, config, n_boot=200 if tabular else 0, seed=seed
+        [(est, boot)] = estimate_with_interval(
+            table, [q_ev], config, n_boot=200 if tabular else 0, seed=seed
         )
         orc = oracle_evidence(
             spec, [y_mid], [x0, x1], y_ev, x_ev, c,

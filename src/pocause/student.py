@@ -216,6 +216,9 @@ def reproduce_student(
 ) -> StudentReport:
     """Recompute one variant's studies on a grade file, with intervals.
 
+    All the studies share one resampling run: each replicate resamples the
+    rows once and answers every study on that resample with one set of
+    fitted models. Failed replicates are still counted per study.
     n_boot=0 skips the resampling and reports point estimates only. The
     verdict column is filled for the "joint" variant on the 649-row file;
     elsewhere the targets are shown purely for comparison.
@@ -225,11 +228,13 @@ def reproduce_student(
     label = _dataset_label(table.n_rows)
     gate = variant == "joint" and label == "portuguese-649"
 
+    studies = study_queries(variant)
+    answers = estimate_with_interval(
+        table, [query for _, _, query in studies], config,
+        n_boot=n_boot, seed=seed, alpha=alpha, threads=threads,
+    )
     rows: list[StudyRow] = []
-    for study, estimand, query in study_queries(variant):
-        estimate, interval = estimate_with_interval(
-            table, query, config, n_boot=n_boot, seed=seed, alpha=alpha, threads=threads
-        )
+    for (study, estimand, _), (estimate, interval) in zip(studies, answers):
         rows.append(StudyRow(
             study=study,
             estimand=estimand,

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pocause import (
+    ConfigError,
     DegenerateError,
     EstimatorConfig,
     NoSupportError,
@@ -105,3 +106,71 @@ def test_interval_covers_a_stable_statistic(small_table):
                        n_boot=200, seed=5)
     assert result.ci_lower <= result.point <= result.ci_upper
     assert result.boot_sd > 0.0
+
+
+@pytest.mark.parametrize(
+    "counts, message",
+    [
+        pytest.param({"n_boot": 2.7}, "bootstrap replicate count must be an integer, got 2.7",
+                     id="fractional-replicates"),
+        pytest.param({"n_boot": True}, "bootstrap replicate count must be an integer, got True",
+                     id="bool-replicates"),
+        pytest.param({"threads": 1.9}, "thread count must be an integer, got 1.9",
+                     id="fractional-threads"),
+        pytest.param({"threads": True}, "thread count must be an integer, got True",
+                     id="bool-threads"),
+    ],
+)
+def test_non_integer_counts_are_config_errors(counts, message, small_table):
+    """2.7 replicates is a mistake, not a request for 2."""
+    with pytest.raises(ConfigError) as info:
+        bootstrap(small_table, _pns_pipeline, **{"n_boot": 3, **counts})
+    assert str(info.value) == message
+
+
+def _low_mean(table):
+    """Mean outcome, undefined on resamples whose mean exceeds 2.6."""
+    mean = float(table.columns["y"].mean())
+    if mean > 2.6:
+        raise NoSupportError("resample mean above 2.6")
+    return mean
+
+
+def _pns_and_low_mean(table):
+    """Both statistics, each failure returned in place of its value."""
+    values = []
+    for statistic in (_pns_pipeline, _low_mean):
+        try:
+            values.append(statistic(table))
+        except NoSupportError as exc:
+            values.append(exc)
+    return values
+
+
+def test_each_value_gets_the_interval_it_gets_alone(small_table):
+    """A pipeline of two values, the second failing on some replicates,
+    gives each value the result bootstrap gives that value on its own."""
+    both = bootstrap(small_table, _pns_and_low_mean, n_boot=60, seed=8)
+    alone = (
+        bootstrap(small_table, _pns_pipeline, n_boot=60, seed=8),
+        bootstrap(small_table, _low_mean, n_boot=60, seed=8),
+    )
+    assert tuple(both) == alone
+    assert 0 < alone[0].n_failures < alone[1].n_failures < 60
+    assert both.n_failures == alone[0].n_failures + alone[1].n_failures
+
+
+def test_several_values_do_not_depend_on_thread_count(small_table):
+    serial = bootstrap(small_table, _pns_and_low_mean, n_boot=60, seed=8, threads=1)
+    parallel = bootstrap(small_table, _pns_and_low_mean, n_boot=60, seed=8, threads=3)
+    assert tuple(serial) == tuple(parallel)
+    assert serial.n_failures == parallel.n_failures
+
+
+def test_a_value_failing_on_every_replicate_is_degenerate(small_table):
+    def second_fails_on_resamples(table):
+        failed = NoSupportError("every resample breaks")
+        return (0.5, 0.25 if table is small_table else failed)
+
+    with pytest.raises(DegenerateError):
+        bootstrap(small_table, second_fails_on_resamples, n_boot=4, seed=0)

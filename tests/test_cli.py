@@ -217,6 +217,22 @@ def test_reproduce_student_rejects_a_negative_bootstrap(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_reproduce_student_report_matches_its_golden(threads, tmp_path, capsys):
+    """reproduce-student on a 649-row synthetic file, 20 replicates and
+    seed 5, writes the report recorded in tests/golden at any thread count."""
+    from test_student import COLUMNS, _synthetic_rows
+
+    path = tmp_path / "grades.csv"
+    path.write_text(COLUMNS + "\n" + "\n".join(_synthetic_rows(649)) + "\n", encoding="utf-8")
+    out = tmp_path / "report.json"
+    assert main([
+        "reproduce-student", "--data", str(path), "--bootstrap", "20", "--seed", "5",
+        "--threads", threads, "--out", str(out),
+    ]) == 0
+    assert out.read_bytes() == (GOLDEN / "student_joint_649_seed5.json").read_bytes()
+
+
 def test_simulate_estimate_round_trip(tmp_path, capsys):
     csv = tmp_path / "sim.csv"
     schema = tmp_path / "sim.schema.json"

@@ -107,16 +107,20 @@ def test_full_run_on_synthetic_data(grade_file):
     assert "unknown-60" in text
 
 
-def test_every_replicate_conditions_on_the_first_row(grade_file):
+@pytest.mark.parametrize("variant", ["joint", "studytime", "paid"])
+def test_every_replicate_conditions_on_the_first_row(variant, grade_file):
     """The studies reference row 0's covariates; each interval is the one
-    the same query gets with row 0's values written out."""
+    the same query gets with row 0's values written out, bootstrapped on
+    its own."""
     from dataclasses import replace
 
     table = load_student_table(grade_file)
     c = tuple(float(v) for v in table.covariates()[0])
     config = EstimatorConfig(method="logistic")
-    report = reproduce_student(grade_file, n_boot=12, seed=4, config=config)
-    for row, (_, _, query) in zip(report.rows, study_queries("joint")):
+    report = reproduce_student(grade_file, variant, n_boot=12, seed=4, config=config)
+    queries = study_queries(variant)
+    assert len(report.rows) == len(queries)
+    for row, (_, _, query) in zip(report.rows, queries):
         explicit = replace(query, covariates=c)
         assert row.value == evaluate_query(table, explicit, config).value
         assert row.interval == bootstrap(
