@@ -20,7 +20,7 @@ a finding about the data.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -63,16 +63,7 @@ class BootstrapResult:
     alpha: float
 
     def as_dict(self) -> dict:
-        return {
-            "point": self.point,
-            "boot_mean": self.boot_mean,
-            "boot_sd": self.boot_sd,
-            "ci_lower": self.ci_lower,
-            "ci_upper": self.ci_upper,
-            "n_boot": self.n_boot,
-            "n_failures": self.n_failures,
-            "alpha": self.alpha,
-        }
+        return asdict(self)
 
 
 def interval_settings(n_boot, alpha, threads, min_boot: int = 1) -> tuple[int, float, int]:

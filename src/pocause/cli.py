@@ -25,6 +25,7 @@ import csv
 import json
 import os
 import sys
+from dataclasses import asdict
 
 from .bundled import packaged_spec_path
 from .dataset import load_schema, load_table, save_table
@@ -108,11 +109,7 @@ def _cmd_estimate(args) -> int:
         {
             "command": "estimate",
             "query": query_as_dict(query),
-            "estimator": {
-                "method": config.method,
-                "ridge": config.ridge,
-                "atom_tol": config.atom_tol,
-            },
+            "estimator": asdict(config),
             "seed": seed,
             "estimate": estimate.as_dict(),
             "bootstrap": None if boot is None else boot.as_dict(),

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataError, MissingValueError, SchemaError, as_index
+from .errors import ConfigError, DataError, MissingValueError, PocError, SchemaError, as_index
 
 ROLES = ("outcome", "treatment", "covariate", "ignored")
 KINDS = ("numeric", "categorical")
@@ -129,15 +129,20 @@ def schema_from_dict(obj: dict) -> TableSchema:
     return TableSchema(variables=tuple(variables))
 
 
-def load_schema(path) -> TableSchema:
+def _read_json(path, what: str, error: type[PocError] = ConfigError):
+    """The JSON value in the file at path; a file that cannot be read or
+    parsed raises error, naming the file as what."""
     try:
         with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
-        raise SchemaError(f"cannot read schema file {path}: {exc}") from exc
+        raise error(f"cannot read {what} {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise SchemaError(f"schema file {path} is not valid JSON: {exc}") from exc
-    return schema_from_dict(obj)
+        raise error(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
+def load_schema(path) -> TableSchema:
+    return schema_from_dict(_read_json(path, "schema file", SchemaError))
 
 
 @dataclass

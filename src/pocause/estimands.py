@@ -25,15 +25,14 @@ the assumptions is the job of the scm module's oracles.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .bootstrap import RECOVERABLE, BootstrapResult, bootstrap, interval_settings
 from .cdf import EmpiricalCdf, LogisticCdf
-from .dataset import DataTable
+from .dataset import DataTable, _read_json
 from .errors import ConfigError, NotIdentifiedError, as_index
 from .ordering import OrderSpec, order_from_dict
 
@@ -220,6 +219,8 @@ class CovariateRow:
 
 def _vec(v, name: str) -> tuple[float, ...]:
     try:
+        if isinstance(v, str):
+            raise TypeError(v)
         out = tuple(float(x) for x in v)
     except (TypeError, ValueError):
         raise ConfigError(f"{name} must be a list of numbers, got {v!r}") from None
@@ -274,14 +275,7 @@ class PoCQuery:
 
 
 def load_query(path) -> PoCQuery:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read query file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"query file {path} is not valid JSON: {exc}") from exc
-    return query_from_dict(obj)
+    return query_from_dict(_read_json(path, "query file"))
 
 
 def query_from_dict(obj: dict) -> PoCQuery:
@@ -313,6 +307,8 @@ def query_from_dict(obj: dict) -> PoCQuery:
         for key in ("thresholds", "treatments"):
             if key not in obj:
                 raise ConfigError(f"{kind} query needs {key!r}")
+            if not isinstance(obj[key], (list, tuple)):
+                raise ConfigError(f"{key} must be a list of vectors, got {obj[key]!r}")
         thresholds = tuple(
             _vec(t, f"thresholds[{i}]") for i, t in enumerate(obj["thresholds"])
         )
@@ -393,14 +389,7 @@ class PoCEstimate:
     diagnostics: tuple[str, ...] = ()
 
     def as_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "kind": self.kind,
-            "case": self.case,
-            "clamped_at_zero": self.clamped_at_zero,
-            "components": dict(self.components),
-            "diagnostics": list(self.diagnostics),
-        }
+        return {**asdict(self), "diagnostics": list(self.diagnostics)}
 
 
 def _build_estimator(table: DataTable, order: OrderSpec | None, config: EstimatorConfig):

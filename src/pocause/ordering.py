@@ -123,7 +123,10 @@ class ScalarScore:
     weights: tuple[float, ...]
 
     def __post_init__(self):
-        w = tuple(float(x) for x in self.weights)
+        try:
+            w = tuple(float(x) for x in self.weights)
+        except (TypeError, ValueError):
+            raise ConfigError(f"weights must be a list of numbers, got {self.weights!r}") from None
         if len(w) == 0:
             raise ConfigError("ScalarScore needs at least one weight")
         if not all(np.isfinite(w)):
@@ -168,6 +171,9 @@ def lexicographic_default(dimension: int) -> Lexicographic:
     )
 
 
+_ENTRIES = {"priority": "integers", "direction": "'asc'/'desc' entries", "weights": "numbers"}
+
+
 def order_from_dict(obj: dict) -> OrderSpec:
     """Parse the JSON form of an order spec.
 
@@ -183,6 +189,10 @@ def order_from_dict(obj: dict) -> OrderSpec:
     extra = set(obj) - {"kind", *fields}
     if extra:
         raise ConfigError(f"unknown order fields: {sorted(extra)}")
+    for key in fields:
+        # tuple() would read a string as a list of its characters.
+        if key in obj and not isinstance(obj[key], (list, tuple)):
+            raise ConfigError(f"{key} must be a list of {_ENTRIES[key]}, got {obj[key]!r}")
     if kind == "lexicographic":
         if "priority" not in obj:
             raise ConfigError("lexicographic order needs a 'priority' list")

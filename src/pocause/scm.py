@@ -27,14 +27,13 @@ oracle call reproducible from a single seed regardless of call order.
 
 from __future__ import annotations
 
-import json
 from dataclasses import MISSING, dataclass, fields
 from itertools import chain, combinations
 
 import numpy as np
 
 from .bootstrap import derived_rng
-from .dataset import DataTable, TableSchema, Variable
+from .dataset import DataTable, TableSchema, Variable, _read_json
 from .errors import ConfigError, NoSupportError, PocError
 from .estimands import EstimatorConfig, Evidence, PoCQuery, estimate_with_interval, evaluate_query
 from .ordering import (
@@ -58,8 +57,17 @@ _STREAM_PROBE = 4
 _STREAM_TRAJECTORIES = 5
 
 
+def _floats(v, name: str) -> np.ndarray:
+    """v as a float array; a ragged or non-numeric v is a ConfigError that
+    names the field."""
+    try:
+        return np.asarray(v, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be numbers in a rectangular array, got {v!r}") from None
+
+
 def _matrix(v, name: str) -> np.ndarray:
-    arr = np.asarray(v, dtype=float)
+    arr = _floats(v, name)
     if arr.ndim != 2:
         raise ConfigError(f"{name} must be a 2-d array, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -68,7 +76,7 @@ def _matrix(v, name: str) -> np.ndarray:
 
 
 def _vector(v, name: str) -> np.ndarray:
-    arr = np.asarray(v, dtype=float).ravel()
+    arr = _floats(v, name).ravel()
     if not np.all(np.isfinite(arr)):
         raise ConfigError(f"{name} contains non-finite entries")
     return arr
@@ -136,7 +144,7 @@ class LinearMean(_Piece):
         if self.cov_coef is None:
             b = np.zeros((a.shape[0], 0))
         else:
-            b = np.asarray(self.cov_coef, dtype=float)
+            b = _floats(self.cov_coef, "cov_coef")
             if b.ndim == 1:
                 b = b.reshape(a.shape[0], -1) if b.size else np.zeros((a.shape[0], 0))
             b = _matrix(b, "cov_coef") if b.size else b
@@ -184,12 +192,12 @@ class TabularMean(_Piece):
 
     def __post_init__(self):
         xl = _matrix(self.x_levels, "x_levels")
-        cl = np.asarray([] if self.c_levels is None else self.c_levels, dtype=float)
+        cl = _floats([] if self.c_levels is None else self.c_levels, "c_levels")
         cl = cl if cl.size or cl.shape[0] else np.zeros((1, 0))
         if cl.ndim != 2:
             raise ConfigError(f"c_levels must be 2-d, got shape {cl.shape}")
         lv = _matrix(self.levels, "levels")
-        cuts = np.asarray(self.cuts, dtype=float)
+        cuts = _floats(self.cuts, "cuts")
         n_states = lv.shape[0]
         if n_states < 2:
             raise ConfigError("a tabular mechanism needs at least two outcome levels")
@@ -319,7 +327,10 @@ class NonMonotoneTest(_Piece):
     flip_at: float = 0.5
 
     def __post_init__(self):
-        f = float(self.flip_at)
+        try:
+            f = float(self.flip_at)
+        except (TypeError, ValueError):
+            raise ConfigError(f"flip_at must be a number, got {self.flip_at!r}") from None
         if not np.isfinite(f):
             raise ConfigError(f"flip_at must be finite, got {self.flip_at!r}")
         object.__setattr__(self, "flip_at", f)
@@ -565,14 +576,7 @@ def scm_from_dict(obj: dict) -> ScmSpec:
 
 
 def load_scm(path) -> ScmSpec:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read model spec {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"model spec {path} is not valid JSON: {exc}") from exc
-    return scm_from_dict(obj)
+    return scm_from_dict(_read_json(path, "model spec"))
 
 
 def simulate(spec: ScmSpec, n: int, seed: int = 0, *, return_latent: bool = False):
@@ -679,22 +683,14 @@ def _latents(spec: ScmSpec, n, seed: int, stream: int) -> np.ndarray:
     return spec.noise.sample(n, derived_rng(seed, stream))
 
 
-def _counterfactuals(spec: ScmSpec, c, U: np.ndarray):
-    """x -> Y(x) at covariates c for every latent row of U; each distinct
-    treatment is evaluated once."""
+def _outcomes_at(spec: ScmSpec, x, c, U: np.ndarray) -> np.ndarray:
+    """Y(x) at covariates c for every latent row of U."""
     n = U.shape[0]
+    x_arr = np.asarray(x, dtype=float).ravel()
     c_arr = np.asarray(c, dtype=float).ravel()
-    C = np.broadcast_to(c_arr, (n, c_arr.size))
-    cache: dict[bytes, np.ndarray] = {}
-
-    def at(x) -> np.ndarray:
-        x_arr = np.asarray(x, dtype=float).ravel()
-        key = x_arr.tobytes()
-        if key not in cache:
-            cache[key] = spec.outcomes(np.broadcast_to(x_arr, (n, x_arr.size)), C, U)
-        return cache[key]
-
-    return at
+    return spec.outcomes(
+        np.broadcast_to(x_arr, (n, x_arr.size)), np.broadcast_to(c_arr, (n, c_arr.size)), U
+    )
 
 
 @dataclass(frozen=True)
@@ -719,7 +715,7 @@ def _oracle_result(
     ok = np.ones(U.shape[0], dtype=bool)
     clause_values = []
     for clause in event.clauses:
-        y = _counterfactuals(spec, c, U)(clause.x)
+        y = _outcomes_at(spec, clause.x, c, U)
         below = at_least = True
         if clause.below is not None:
             below = indicator_below(y, clause.below, order)[0]
@@ -792,7 +788,7 @@ def oracle_evidence(
         return _oracle_result(spec, event, c_arr, u_star.reshape(1, -1), 1, exact=True)
 
     U = _latents(spec, n_mc, seed, _STREAM_ORACLE_EVIDENCE)
-    Yx = _counterfactuals(spec, c_arr, U)(ev_x)
+    Yx = _outcomes_at(spec, ev_x, c_arr, U)
     match = np.max(np.abs(Yx - ev_y), axis=1) <= atom_tol
     if not match.any():
         raise NoSupportError(
@@ -862,7 +858,7 @@ def check_monotonicity(
     for x in chain.from_iterable(pairs):
         if key(x) not in rank:
             # Only the ranks of each Y(x) outlive its ranking.
-            rank[key(x)] = _threshold_ranks(_counterfactuals(spec, c, U)(x), ladder, order)
+            rank[key(x)] = _threshold_ranks(_outcomes_at(spec, x, c, U), ladder, order)
     below = {k: at_most(r) for k, r in rank.items()}
     flips = np.empty((len(pairs), n_t), dtype=np.int64)
     for i, (xa, xb) in enumerate(pairs):
@@ -926,8 +922,10 @@ def monotonicity_probe(
     statistics of pilot counterfactual outcomes, against every support pair."""
     if n_thresholds < 1 or n_pilot < n_thresholds:
         raise ConfigError("need n_pilot >= n_thresholds >= 1")
-    at = _counterfactuals(spec, _reference_c(spec), _latents(spec, n_pilot, seed, _STREAM_PROBE))
-    pool = _sorted_rows(np.vstack([at(x) for x in spec.policy.support]), spec.outcome_order)
+    c, U = _reference_c(spec), _latents(spec, n_pilot, seed, _STREAM_PROBE)
+    pool = _sorted_rows(
+        np.vstack([_outcomes_at(spec, x, c, U) for x in spec.policy.support]), spec.outcome_order
+    )
     picks = np.linspace(0, pool.shape[0] - 1, n_thresholds).round().astype(int)
     return [tuple(row) for row in pool[picks]], _support_pairs(spec)
 
@@ -953,8 +951,8 @@ def export_trajectories(
     """
     grid, n_u = _trajectory_sizes(spec, x_grid, n_u)
     U = _latents(spec, n_u, seed, _STREAM_TRAJECTORIES)
-    at = _counterfactuals(spec, _reference_c(spec) if c is None else c, U)
-    curves = np.stack([at(x) for x in grid], axis=1)
+    c = _reference_c(spec) if c is None else c
+    curves = np.stack([_outcomes_at(spec, x, c, U) for x in grid], axis=1)
     return TrajectorySet(
         x_grid=grid, u_values=U, outcomes=curves,
         crossing_count=_crossing_count(curves, spec.outcome_order),
@@ -1126,7 +1124,7 @@ def validate_spec(
             else:
                 u_star = noise.lo + 0.3 * (noise.hi - noise.lo)
             x_ev = tuple(sup[n_levels // 2])
-            y_ev = tuple(_counterfactuals(spec, c, u_star.reshape(1, -1))(x_ev)[0])
+            y_ev = tuple(_outcomes_at(spec, x_ev, c, u_star.reshape(1, -1))[0])
         q_ev = query("pns_evidence", [y_mid], [x0, x1], Evidence(y=y_ev, x=x_ev))
         [(est, boot)] = estimate_with_interval(
             table, [q_ev], config, n_boot=200 if tabular else 0, seed=seed

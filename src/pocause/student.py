@@ -34,12 +34,11 @@ on the 649-row file; other variants report deltas without a verdict.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from importlib import resources
 
 from .bootstrap import BootstrapResult
-from .dataset import DataTable, TableSchema, load_table, schema_from_dict
+from .dataset import DataTable, TableSchema, load_schema, load_table
 from .errors import ConfigError
 from .estimands import CovariateRow, EstimatorConfig, Evidence, PoCQuery, estimate_with_interval
 from .ordering import Lexicographic
@@ -99,10 +98,7 @@ _BANDS = {
 
 def packaged_student_schema() -> TableSchema:
     """Schema for the raw semicolon-delimited grade files, as shipped."""
-    text = resources.files("pocause").joinpath("assets/student_schema.json").read_text(
-        encoding="utf-8"
-    )
-    return schema_from_dict(json.loads(text))
+    return load_schema(resources.files("pocause").joinpath("assets/student_schema.json"))
 
 
 def load_student_table(path) -> DataTable:
@@ -175,17 +171,7 @@ class StudentReport:
     all_within_bands: bool | None
 
     def as_dict(self) -> dict:
-        return {
-            "dataset": self.dataset,
-            "variant": self.variant,
-            "n_rows": self.n_rows,
-            "estimator": self.estimator,
-            "n_boot": self.n_boot,
-            "seed": self.seed,
-            "alpha": self.alpha,
-            "rows": [row.as_dict() for row in self.rows],
-            "all_within_bands": self.all_within_bands,
-        }
+        return {**asdict(self), "rows": [row.as_dict() for row in self.rows]}
 
 
 def _dataset_label(n_rows: int) -> str:

@@ -403,3 +403,140 @@ def test_lexi2_trajectory_export_is_pinned(tmp_path, capsys):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "723661dd6fb4337d94f545bb361d069e6068361ee0cf3a491cfd3b79ac150f01"
     )
+
+
+_QUERY_SPECS = {"additive": "additive_scalar", "lexi2": "lexi2", "tabular": "tabular"}
+_BUNDLED_QUERIES = (
+    "additive_chain2", "additive_chain3", "additive_evidence", "additive_pns",
+    "lexi2_marginal", "lexi2_pns", "tabular_evidence",
+)
+
+
+@pytest.fixture(scope="module")
+def simulated(tmp_path_factory):
+    """A 3,000-row seed-3 table and its schema for each model the bundled
+    queries are written against."""
+    import contextlib
+    import io
+
+    root = tmp_path_factory.mktemp("simulated")
+    paths = {}
+    for spec in _QUERY_SPECS.values():
+        csv, schema = root / f"{spec}.csv", root / f"{spec}.schema.json"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([
+                "simulate", "--spec", spec, "--n", "3000", "--seed", "3",
+                "--out", str(csv), "--schema-out", str(schema),
+            ]) == 0
+        paths[spec] = (csv, schema)
+    return paths
+
+
+@pytest.mark.parametrize("estimator", ["logistic", "empirical"])
+@pytest.mark.parametrize("name", _BUNDLED_QUERIES)
+def test_estimate_report_matches_its_golden(name, estimator, simulated, capsys):
+    """poc estimate on every bundled query, with a 20-replicate interval on
+    two threads, prints the report recorded in tests/golden, and that
+    report satisfies the published report schema."""
+    from importlib import resources
+
+    from pocause import packaged_query_path
+
+    csv, schema = simulated[_QUERY_SPECS[name.split("_")[0]]]
+    code = main([
+        "estimate", "--data", str(csv), "--schema", str(schema),
+        "--query", str(packaged_query_path(name)), "--estimator", estimator,
+        "--bootstrap", "20", "--seed", "7", "--threads", "2",
+    ])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    golden = GOLDEN / f"estimate_{name}_{estimator}.json"
+    assert captured.out.encode("utf-8") == golden.read_bytes()
+    contract = json.loads(
+        resources.files("pocause").joinpath("assets/report_schema.json").read_text()
+    )
+    jsonschema.validate(json.loads(captured.out), contract)
+
+
+def _config_error_message(capsys) -> str:
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["exit_code"] == 2
+    return err["error"]["message"]
+
+
+@pytest.mark.parametrize("flag, what", [("--query", "query file"), ("--schema", "schema file")])
+def test_unreadable_and_malformed_inputs_name_the_file(flag, what, workdir, capsys):
+    bad = workdir / "bad.json"
+    bad.write_text("not json", encoding="utf-8")
+    absent = workdir / "absent.json"
+    args = _estimate_args(workdir)
+    i = args.index(flag) + 1
+
+    args[i] = str(absent)
+    assert main(args) == 2
+    assert _config_error_message(capsys) == (
+        f"cannot read {what} {absent}: [Errno 2] No such file or directory: '{absent}'"
+    )
+    args[i] = str(bad)
+    assert main(args) == 2
+    assert _config_error_message(capsys) == (
+        f"{what} {bad} is not valid JSON: Expecting value: line 1 column 1 (char 0)"
+    )
+
+
+def test_unreadable_and_malformed_model_specs_name_the_file(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("not json", encoding="utf-8")
+    out = str(tmp_path / "sim.csv")
+
+    assert main(["simulate", "--spec", str(tmp_path), "--n", "10", "--out", out]) == 2
+    assert _config_error_message(capsys) == (
+        f"cannot read model spec {tmp_path}: [Errno 21] Is a directory: '{tmp_path}'"
+    )
+    assert main(["simulate", "--spec", str(bad), "--n", "10", "--out", out]) == 2
+    assert _config_error_message(capsys) == (
+        f"model spec {bad} is not valid JSON: Expecting value: line 1 column 1 (char 0)"
+    )
+
+
+@pytest.mark.parametrize(
+    "section, key, value, message",
+    [
+        pytest.param(
+            "mean", "treat_coef", [[1.0], [2.0, 3.0]],
+            "treat_coef must be numbers in a rectangular array, got [[1.0], [2.0, 3.0]]",
+            id="ragged-treat-coef",
+        ),
+        pytest.param(
+            "noise", "sd", "x", "sd must be numbers in a rectangular array, got 'x'",
+            id="string-sd",
+        ),
+    ],
+)
+def test_malformed_spec_numbers_are_config_errors(section, key, value, message, tmp_path, capsys):
+    from pocause import packaged_spec_path
+
+    obj = json.loads(open(packaged_spec_path("lexi2"), encoding="utf-8").read())
+    obj[section][key] = value
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(obj), encoding="utf-8")
+    code = main([
+        "simulate", "--spec", str(spec), "--n", "10", "--out", str(tmp_path / "sim.csv"),
+    ])
+    assert code == 2
+    assert _config_error_message(capsys) == message
+
+
+def test_string_threshold_is_a_config_error(simulated, tmp_path, capsys):
+    """A JSON string where a number list belongs is rejected, not read as
+    a list of its characters."""
+    csv, schema = simulated["lexi2"]
+    query = tmp_path / "query.json"
+    query.write_text(json.dumps(
+        {"kind": "pns", "threshold": "12", "x0": [0.0], "x1": [1.0], "c": [1.0]}
+    ), encoding="utf-8")
+    assert main(["estimate", "--data", str(csv), "--schema", str(schema),
+                 "--query", str(query)]) == 2
+    assert _config_error_message(capsys) == "threshold must be a list of numbers, got '12'"

@@ -354,3 +354,38 @@ def test_marginal_matches_a_per_profile_loop(method):
     assert est.value == total
     assert est.components == {"n_profiles": 40.0, "clamped_profiles": float(clamped)}
     assert est.clamped_at_zero == (clamped == 40)
+
+
+_PNS = {"kind": "pns", "threshold": [1.0, 2.0], "x0": [0.0], "x1": [1.0], "c": [1.0]}
+_EVIDENCE = {**_PNS, "kind": "pns_evidence", "evidence": {"y": [0.5, 0.5], "x": [1.0]}}
+_CHAIN = {"kind": "pns_multi", "thresholds": [[1.0], [2.0]], "treatments": [[0.0], [0.5], [1.0]]}
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        pytest.param({**_PNS, "threshold": "12"},
+                     "threshold must be a list of numbers, got '12'", id="threshold"),
+        pytest.param({**_PNS, "x0": "0"}, "x0 must be a list of numbers, got '0'", id="x0"),
+        pytest.param({**_PNS, "x1": "1"}, "x1 must be a list of numbers, got '1'", id="x1"),
+        pytest.param({**_PNS, "c": "1"}, "c must be a list of numbers, got '1'", id="c"),
+        pytest.param({**_EVIDENCE, "evidence": {"y": "05", "x": [1.0]}},
+                     "evidence.y must be a list of numbers, got '05'", id="evidence-y"),
+        pytest.param({**_EVIDENCE, "evidence": {"y": [0.5, 0.5], "x": "1"}},
+                     "evidence.x must be a list of numbers, got '1'", id="evidence-x"),
+        pytest.param({**_CHAIN, "thresholds": ["1", [2.0]]},
+                     "thresholds[0] must be a list of numbers, got '1'", id="thresholds-entry"),
+        pytest.param({**_CHAIN, "treatments": [[0.0], "5", [1.0]]},
+                     "treatments[1] must be a list of numbers, got '5'", id="treatments-entry"),
+        pytest.param({**_CHAIN, "thresholds": "12"},
+                     "thresholds must be a list of vectors, got '12'", id="thresholds"),
+        pytest.param({**_CHAIN, "treatments": 3},
+                     "treatments must be a list of vectors, got 3", id="treatments"),
+    ],
+)
+def test_strings_are_not_number_lists(payload, message):
+    """A JSON string where a list belongs is rejected, not read as a list
+    of its characters."""
+    with pytest.raises(ConfigError) as info:
+        query_from_dict(payload)
+    assert str(info.value) == message

@@ -257,3 +257,27 @@ def test_compare_rejects_bad_input(a, b, order, message):
 
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         compare(a, b, order)
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        pytest.param({"kind": "scalar_score", "weights": "12"},
+                     "weights must be a list of numbers, got '12'", id="weights-string"),
+        pytest.param({"kind": "scalar_score", "weights": 3},
+                     "weights must be a list of numbers, got 3", id="weights-number"),
+        pytest.param({"kind": "scalar_score", "weights": ["x"]},
+                     "weights must be a list of numbers, got ('x',)", id="weights-entry"),
+        pytest.param({"kind": "lexicographic", "priority": "0"},
+                     "priority must be a list of integers, got '0'", id="priority-string"),
+        pytest.param({"kind": "lexicographic", "priority": [0], "direction": "asc"},
+                     "direction must be a list of 'asc'/'desc' entries, got 'asc'",
+                     id="direction-string"),
+    ],
+)
+def test_order_lists_must_be_lists(payload, message):
+    """A JSON string where a list belongs is rejected, not read as a list
+    of its characters."""
+    with pytest.raises(ConfigError) as info:
+        order_from_dict(payload)
+    assert str(info.value) == message

@@ -504,13 +504,20 @@ def _cached_monotonicity(spec, thresholds, pairs, n_mc, seed):
     """check_monotonicity as a double loop over pairs and thresholds, one
     cached strict indicator per (x, threshold): the reference the
     threshold-by-threshold check must match."""
-    from pocause.scm import MonotonicityReport, _STREAM_MONOTONICITY, _counterfactuals
+    from pocause.scm import MonotonicityReport, _STREAM_MONOTONICITY, _outcomes_at
     from pocause.scm import _latents, _reference_c
     from pocause.ordering import indicator_below
 
     thresholds = [tuple(float(v) for v in t) for t in thresholds]
     U = _latents(spec, n_mc, seed, _STREAM_MONOTONICITY)
-    at = _counterfactuals(spec, _reference_c(spec), U)
+    outcomes = {}
+
+    def at(x):
+        key = np.asarray(x, dtype=float).tobytes()
+        if key not in outcomes:
+            outcomes[key] = _outcomes_at(spec, x, _reference_c(spec), U)
+        return outcomes[key]
+
     cache = {}
 
     def strict(x, y):
@@ -689,3 +696,46 @@ def test_trajectories_count_crossings_per_pair():
     grid = np.linspace(0.0, 1.0, 7)[:, None]
     traj = export_trajectories(spec, grid, n_u=12, seed=5)
     assert traj.crossing_count == _pairwise_crossings(traj.outcomes, spec.outcome_order)
+
+
+@pytest.mark.parametrize(
+    "base, path, value, field",
+    [
+        pytest.param("lexi2", ("mean", "treat_coef"), [[1.0], [2.0, 3.0]], "treat_coef",
+                     id="treat_coef-ragged"),
+        pytest.param("lexi2", ("mean", "cov_coef"), [["a"], [1.0]], "cov_coef",
+                     id="cov_coef-string"),
+        pytest.param("lexi2", ("mean", "cov_coef"), [[0.5], [1.0, 2.0]], "cov_coef",
+                     id="cov_coef-ragged"),
+        pytest.param("lexi2", ("mean", "intercept"), [0.0, "b"], "intercept",
+                     id="intercept-string"),
+        pytest.param("lexi2", ("noise", "sd"), "x", "sd", id="sd-string"),
+        pytest.param("lexi2", ("noise", "mean"), ["a"], "mean", id="noise-mean-string"),
+        pytest.param("lexi2", ("policy", "logits"), [[0.0], [0.0, 1.0]], "policy logits",
+                     id="logits-ragged"),
+        pytest.param("lexi2", ("policy", "covariate_logits"), [["a"]], "covariate_logits",
+                     id="covariate_logits-string"),
+        pytest.param("lexi2", ("covariates", "probs"), [0.5, "half"], "covariate probs",
+                     id="probs-string"),
+        pytest.param("nonmono", ("coupling", "flip_at"), "x", "flip_at", id="flip_at-string"),
+        pytest.param("nonmono", ("coupling", "flip_at"), [0.5, 1.0], "flip_at",
+                     id="flip_at-list"),
+        pytest.param("tabular", ("mean", "cuts"), "abc", "cuts", id="cuts-string"),
+        pytest.param("tabular", ("mean", "levels"), [[1.0], [2.0, 2.5], [3.0]], "levels",
+                     id="levels-ragged"),
+        pytest.param("tabular", ("mean", "c_levels"), [["q"]], "c_levels", id="c_levels-string"),
+        pytest.param("tabular", ("noise", "lo"), ["z"], "lo", id="lo-string"),
+        pytest.param("lexi2", ("order",), {"kind": "scalar_score", "weights": ["x", 1.0]},
+                     "weights", id="weights-string"),
+    ],
+)
+def test_malformed_spec_numbers_name_their_field(base, path, value, field):
+    """A ragged or non-numeric array in a model spec is a ConfigError that
+    names the field, never a bare numpy ValueError."""
+    obj = json.load(open(packaged_spec_path(base), encoding="utf-8"))
+    target = obj
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    with pytest.raises(ConfigError, match=f"^{re.escape(field)} must be"):
+        scm_from_dict(obj)
