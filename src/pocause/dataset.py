@@ -7,17 +7,25 @@ cells are coded 1, 2, ... by the alphabetical order of the level strings
 observed in the file. That coding rule is deliberate and fixed so the same
 file always produces the same codes.
 
+A file whose schema columns are all numeric is parsed by numpy's C reader
+(np.loadtxt); the csv reader parses every other file, and every numeric file
+the C reader fails on or could read differently. Both give the same columns,
+bit for bit, and only the csv reader reports errors.
+
 Errors point at the offending file line and column by name. Missing values
 (empty cells, "NA", "?") are rejected outright for any non-ignored column,
 and so are numeric cells that parse to nan or an infinity; this library has
 no imputation story and pretending otherwise would poison the estimators
-downstream.
+downstream. Every input file is read as UTF-8: a data file that is not is
+a DataError, a JSON file that is not is a ConfigError (SchemaError for a
+schema), and each names the file and the first byte that does not decode.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +35,7 @@ from .errors import ConfigError, DataError, MissingValueError, PocError, SchemaE
 ROLES = ("outcome", "treatment", "covariate", "ignored")
 KINDS = ("numeric", "categorical")
 MISSING_TOKENS = ("", "NA", "?")
+_SAVE_CHUNK_ROWS = 8192  # rows per writerows call; bounds the cell strings held at once
 
 
 @dataclass(frozen=True)
@@ -137,6 +146,10 @@ def _read_json(path, what: str, error: type[PocError] = ConfigError):
             return json.load(fh)
     except OSError as exc:
         raise error(f"cannot read {what} {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise error(
+            f"{what} {path} is not UTF-8 text (byte {exc.object[exc.start]:#04x}: {exc.reason})"
+        ) from None
     except json.JSONDecodeError as exc:
         raise error(f"{what} {path} is not valid JSON: {exc}") from exc
 
@@ -204,38 +217,90 @@ def load_table(path, schema: TableSchema, delimiter: str = ";") -> DataTable:
     Header row required. File columns not named in the schema are ignored;
     schema columns missing from the file are an error. Cell failures are
     reported with the file line number (header is line 1) and column name.
+
+    A file whose schema columns are all numeric is parsed first by numpy's
+    C reader; whenever that reader fails or could disagree, the csv reader
+    reads the file again and gives the answer or the error.
     """
     _check_delimiter(delimiter)
+    wanted = {v.name: v for v in schema.variables if v.role != "ignored"}
+    if all(v.kind == "numeric" for v in wanted.values()):
+        columns = _load_numeric(path, wanted, delimiter)
+        if columns is not None:
+            return DataTable(schema=schema, columns=columns, source=str(path))
+    return _load_csv(path, schema, delimiter)
+
+
+def _load_numeric(path, wanted, delimiter: str) -> dict[str, np.ndarray] | None:
+    """The wanted columns if np.loadtxt parses every cell of the file to a
+    finite float and the rows fit the header; None otherwise.
+
+    Whatever loadtxt parses, float() parses to the same bits, and a row
+    whose field count differs from the first row's makes it fail. It
+    rejects quotes, underscores and non-ASCII digits, which the csv reader
+    may accept. The checks after it return None where the csv reader would
+    raise: no data rows, a field count other than the header's, a missing
+    schema column, or a value that is not finite.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            header = [h.strip() for h in next(csv.reader(fh, delimiter=delimiter), [])]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+                arr = np.loadtxt(
+                    fh, delimiter=delimiter, comments=None, quotechar=None, ndmin=2, dtype=float
+                )
+    except (OSError, ValueError, TypeError, csv.Error):  # TypeError: a newline delimiter
+        return None
+    if (
+        arr.shape[0] == 0
+        or arr.shape[1] != len(header)
+        or not all(name in header for name in wanted)
+        or not np.isfinite(arr).all()
+    ):
+        return None
+    return {name: arr[:, header.index(name)].copy() for name in wanted}
+
+
+def _load_csv(path, schema: TableSchema, delimiter: str) -> DataTable:
+    """load_table through the csv module, cell by cell: the reference
+    reader, the only one that reports errors, and the one for categorical
+    columns."""
     wanted = {v.name: v for v in schema.variables if v.role != "ignored"}
     try:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise SchemaError(f"cannot read data file {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh, delimiter=delimiter)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: file is empty") from None
-        header = [h.strip() for h in header]
-        col_index = {}
-        for name in wanted:
-            if name not in header:
-                raise SchemaError(f"{path}: schema column {name!r} not in header")
-            col_index[name] = header.index(name)
+    try:
+        with fh:
+            reader = csv.reader(fh, delimiter=delimiter)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise SchemaError(f"{path}: file is empty") from None
+            header = [h.strip() for h in header]
+            col_index = {}
+            for name in wanted:
+                if name not in header:
+                    raise SchemaError(f"{path}: schema column {name!r} not in header")
+                col_index[name] = header.index(name)
 
-        raw: dict[str, list[str]] = {name: [] for name in wanted}
-        lines: list[int] = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise DataError(
-                    f"{path}: line {line_no} has {len(row)} fields, header has {len(header)}"
-                )
-            lines.append(line_no)
-            for name, j in col_index.items():
-                raw[name].append(row[j].strip())
+            raw: dict[str, list[str]] = {name: [] for name in wanted}
+            lines: list[int] = []
+            for line_no, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise DataError(
+                        f"{path}: line {line_no} has {len(row)} fields, header has {len(header)}"
+                    )
+                lines.append(line_no)
+                for name, j in col_index.items():
+                    raw[name].append(row[j].strip())
+    except UnicodeDecodeError as exc:
+        raise DataError(
+            f"{path}: not UTF-8 text (byte {exc.object[exc.start]:#04x}: {exc.reason})"
+        ) from None
 
     n = len(lines)
     if n == 0:
@@ -278,20 +343,24 @@ def load_table(path, schema: TableSchema, delimiter: str = ";") -> DataTable:
 
 def save_table(table: DataTable, path, delimiter: str = ";") -> None:
     """Write a DataTable back to disk. Loading the result under the same
-    schema reproduces the columns and codes exactly."""
+    schema reproduces the columns and codes exactly.
+
+    Rows are formatted a column at a time, _SAVE_CHUNK_ROWS rows at once,
+    and written by one csv.writer, which quotes any cell that needs it.
+    """
     _check_delimiter(delimiter)
     names = [v.name for v in table.schema.variables if v.name in table.columns]
+    levels = {name: np.array(lv, dtype=object) for name, lv in table.levels.items()}
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, delimiter=delimiter)
         writer.writerow(names)
-        n = table.n_rows
-        for i in range(n):
-            row = []
+        for s in range(0, table.n_rows, _SAVE_CHUNK_ROWS):
+            e = s + _SAVE_CHUNK_ROWS
+            parts = []
             for name in names:
-                v = table.columns[name][i]
-                if name in table.levels:
-                    row.append(table.levels[name][int(v) - 1])
+                col = table.columns[name][s:e]
+                if name in levels:
+                    parts.append(levels[name][col.astype(int) - 1])
                 else:
-                    row.append(repr(float(v)))
-            writer.writerow(row)
-
+                    parts.append(list(map(repr, np.asarray(col, dtype=float).tolist())))
+            writer.writerows(zip(*parts))

@@ -57,3 +57,11 @@ def as_index(value, what: str, error: type[PocError] = ConfigError) -> int:
     except TypeError:
         pass
     raise error(f"{what} must be an integer, got {value!r}")
+
+
+def as_float(value) -> float:
+    """float(value), except that a string raises TypeError: a number
+    written as a string was not written as a number."""
+    if isinstance(value, str):
+        raise TypeError(f"{value!r} is a string")
+    return float(value)

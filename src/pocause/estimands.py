@@ -33,7 +33,7 @@ import numpy as np
 from .bootstrap import RECOVERABLE, BootstrapResult, bootstrap, interval_settings
 from .cdf import EmpiricalCdf, LogisticCdf
 from .dataset import DataTable, _read_json
-from .errors import ConfigError, NotIdentifiedError, as_index
+from .errors import ConfigError, NotIdentifiedError, as_float, as_index
 from .ordering import OrderSpec, order_from_dict
 
 QUERY_KINDS = (
@@ -221,7 +221,7 @@ def _vec(v, name: str) -> tuple[float, ...]:
     try:
         if isinstance(v, str):
             raise TypeError(v)
-        out = tuple(float(x) for x in v)
+        out = tuple(map(as_float, v))
     except (TypeError, ValueError):
         raise ConfigError(f"{name} must be a list of numbers, got {v!r}") from None
     if not out or not all(np.isfinite(out)):

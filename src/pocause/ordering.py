@@ -35,7 +35,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import ConfigError, as_index
+from .errors import ConfigError, as_float, as_index
 
 
 class Ordering(enum.IntEnum):
@@ -124,7 +124,7 @@ class ScalarScore:
 
     def __post_init__(self):
         try:
-            w = tuple(float(x) for x in self.weights)
+            w = tuple(map(as_float, self.weights))
         except (TypeError, ValueError):
             raise ConfigError(f"weights must be a list of numbers, got {self.weights!r}") from None
         if len(w) == 0:

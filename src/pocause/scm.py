@@ -34,7 +34,7 @@ import numpy as np
 
 from .bootstrap import derived_rng
 from .dataset import DataTable, TableSchema, Variable, _read_json
-from .errors import ConfigError, NoSupportError, PocError
+from .errors import ConfigError, NoSupportError, PocError, as_float
 from .estimands import EstimatorConfig, Evidence, PoCQuery, estimate_with_interval, evaluate_query
 from .ordering import (
     Ordering,
@@ -57,10 +57,17 @@ _STREAM_PROBE = 4
 _STREAM_TRAJECTORIES = 5
 
 
+def _has_text(v) -> bool:
+    """Whether v is a string or a list or tuple holding one at any depth."""
+    return isinstance(v, str) or (isinstance(v, (list, tuple)) and any(map(_has_text, v)))
+
+
 def _floats(v, name: str) -> np.ndarray:
-    """v as a float array; a ragged or non-numeric v is a ConfigError that
-    names the field."""
+    """v as a float array; a ragged or non-numeric v, or one holding a
+    string, is a ConfigError that names the field."""
     try:
+        if _has_text(v):
+            raise TypeError(v)
         return np.asarray(v, dtype=float)
     except (TypeError, ValueError):
         raise ConfigError(f"{name} must be numbers in a rectangular array, got {v!r}") from None
@@ -328,7 +335,7 @@ class NonMonotoneTest(_Piece):
 
     def __post_init__(self):
         try:
-            f = float(self.flip_at)
+            f = as_float(self.flip_at)
         except (TypeError, ValueError):
             raise ConfigError(f"flip_at must be a number, got {self.flip_at!r}") from None
         if not np.isfinite(f):

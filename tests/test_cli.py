@@ -484,6 +484,26 @@ def test_unreadable_and_malformed_inputs_name_the_file(flag, what, workdir, caps
     assert _config_error_message(capsys) == (
         f"{what} {bad} is not valid JSON: Expecting value: line 1 column 1 (char 0)"
     )
+    bad.write_bytes(b"\xff\xfe" + json.dumps(QUERY).encode("utf-8"))
+    assert main(args) == 2
+    assert _config_error_message(capsys) == (
+        f"{what} {bad} is not UTF-8 text (byte 0xff: invalid start byte)"
+    )
+
+
+def test_data_file_that_is_not_utf8_is_a_data_error(workdir, capsys):
+    data = workdir / "data.csv"
+    data.write_bytes(SMALL_CSV.encode("utf-8").replace(b"\n1;0;0\n", b"\n1;0;\xff\n", 1))
+    assert main(_estimate_args(workdir)) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": {
+            "type": "DataError",
+            "message": f"{data}: not UTF-8 text (byte 0xff: invalid start byte)",
+        },
+        "exit_code": 3,
+    }
 
 
 def test_unreadable_and_malformed_model_specs_name_the_file(tmp_path, capsys):
@@ -512,6 +532,11 @@ def test_unreadable_and_malformed_model_specs_name_the_file(tmp_path, capsys):
         pytest.param(
             "noise", "sd", "x", "sd must be numbers in a rectangular array, got 'x'",
             id="string-sd",
+        ),
+        pytest.param(
+            "mean", "intercept", ["1e0", "0"],
+            "intercept must be numbers in a rectangular array, got ['1e0', '0']",
+            id="numeric-string-intercept",
         ),
     ],
 )

@@ -1,10 +1,16 @@
+import csv
+import io
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pocause import (
     DataError,
     MissingValueError,
     SchemaError,
+    DataTable,
     TableSchema,
     Variable,
     indicator_below,
@@ -13,6 +19,7 @@ from pocause import (
     save_table,
     schema_from_dict,
 )
+from pocause.dataset import _SAVE_CHUNK_ROWS, _load_csv, _load_numeric
 
 
 def test_outcome_columns_follow_declared_position(write_csv):
@@ -156,3 +163,177 @@ def test_outcome_position_must_be_an_integer(position):
             {"name": "b", "role": {"outcome": position}},
             {"name": "x", "role": "treatment"},
         ]})
+
+
+def test_numeric_files_take_the_fast_path(small_table, tmp_path):
+    """The C reader answers a plain numeric file by itself; if it never did,
+    the equivalence property below would hold trivially."""
+    path = tmp_path / "echo.csv"
+    save_table(small_table, path)
+    wanted = {v.name: v for v in small_table.schema.variables}
+    columns = _load_numeric(path, wanted, ";")
+    assert columns is not None
+    for name, col in small_table.columns.items():
+        assert columns[name].tobytes() == col.tobytes()
+        assert columns[name].flags.c_contiguous
+
+
+def _outcome(read, path, schema, delimiter):
+    """What a reader gives: its columns as bytes and its levels, or the
+    class and message of what it raised."""
+    try:
+        table = read(path, schema, delimiter)
+    except Exception as exc:  # the csv reader's errors are the reference too
+        return type(exc), str(exc)
+    columns = {name: (col.dtype.str, col.tobytes()) for name, col in table.columns.items()}
+    return columns, table.levels, table.source
+
+
+_NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**20, 10**20).map(str),
+    st.sampled_from(["-0", "+.5", "5.", "1E5", "1e-320", "0.30000000000000004"]),
+)
+_ODD_CELLS = st.sampled_from([
+    "", "NA", "?", " ", "\t", "nan", "-nan", "inf", "-Infinity", "1e400", "-1e400",
+    '"1"', '"2.5"', '"', "1_0", "\u0661", "\uff11\uff12", "\u0661.\u0662", "0x10", "1d5",
+    "1 2", "abc", "\ufeff1", "1\x00",
+])
+_PADDING = st.sampled_from(
+    [""] * 8 + [" ", "  ", "\t", " \t", "\x0c", "\xa0", "\u2003", "\x85", "\x1c"]
+)
+_LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+@st.composite
+def _padded(draw, core):
+    return draw(_PADDING) + draw(core) + draw(_PADDING)
+
+
+@st.composite
+def _delimited_files(draw):
+    """(bytes, schema, delimiter): numeric rows with padded cells, then up
+    to two faults (an odd cell, a blank or whitespace-only line, a short or
+    long row, a trailing delimiter), mixed line ends, and at times a BOM or
+    a byte that is not UTF-8."""
+    delimiter = draw(st.sampled_from([";"] * 4 + [",", "\t", " ", ".", "-", "e", "\n", "\r"]))
+    width = draw(st.integers(1, 4))
+    header = [f"v{j}" for j in range(width)]
+    kept = [name for name in header if draw(st.booleans())] or header[:1]
+    variables = [Variable(kept[0], "outcome", position=0)]
+    variables += [Variable(name, "covariate") for name in kept[1:]]
+    if draw(st.booleans()):
+        variables.append(Variable("ghost", "ignored"))
+    schema = TableSchema(tuple(variables))
+
+    rows = [
+        [draw(_padded(_NUMBERS)) for _ in range(width)] for _ in range(draw(st.integers(0, 6)))
+    ]
+    for _ in range(draw(st.integers(0, 2))):
+        fault = draw(st.sampled_from(["cell", "cell", "blank", "spaces", "short", "long", "trail"]))
+        at = draw(st.integers(0, len(rows)))
+        row = rows[min(at, len(rows) - 1)] if rows else []
+        if fault == "cell" and row:
+            row[draw(st.integers(0, len(row) - 1))] = draw(_padded(_ODD_CELLS))
+        elif fault == "blank":
+            rows.insert(at, [])
+        elif fault == "spaces":
+            rows.insert(at, [draw(st.sampled_from([" ", "\t", "  \t", "\x0c"]))])
+        elif fault == "short" and row:
+            row.pop()
+        elif fault in ("long", "trail"):
+            row.append("" if fault == "trail" else draw(_padded(_NUMBERS)))
+    lines = [delimiter.join(header)] + [delimiter.join(row) for row in rows]
+    ends = [draw(_LINE_ENDS) for _ in lines]
+    if draw(st.booleans()):
+        ends[-1] = ""
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if draw(st.integers(0, 9)) == 0:
+        text = "\ufeff" + text
+    data = text.encode("utf-8")
+    if draw(st.integers(0, 9)) == 0:
+        cut = draw(st.integers(0, len(data)))
+        data = data[:cut] + b"\xff" + data[cut:]
+    return data, schema, delimiter
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_delimited_files())
+def test_load_table_equals_the_csv_reader(case, tmp_path_factory):
+    """Whatever path load_table takes, it gives the csv reader's columns,
+    bit for bit, or the csv reader's exception and message."""
+    data, schema, delimiter = case
+    path = tmp_path_factory.mktemp("equiv") / "data.csv"
+    path.write_bytes(data)
+    assert _outcome(load_table, path, schema, delimiter) == _outcome(
+        _load_csv, path, schema, delimiter
+    )
+
+
+def _row_writer_bytes(table, delimiter) -> bytes:
+    """save_table's output written one row at a time, cell by cell."""
+    names = [v.name for v in table.schema.variables if v.name in table.columns]
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf, delimiter=delimiter)
+    writer.writerow(names)
+    for i in range(table.n_rows):
+        writer.writerow([
+            table.levels[name][int(table.columns[name][i]) - 1]
+            if name in table.levels
+            else repr(float(table.columns[name][i]))
+            for name in names
+        ])
+    return buf.getvalue().encode("utf-8")
+
+
+_EDGE_FLOATS = st.sampled_from([
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+    1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1e16, 1e-7,
+])
+_FLOATS = st.one_of(_EDGE_FLOATS, st.floats(allow_nan=False, allow_infinity=False))
+_LEVELS = st.text(alphabet='ab;,.\t" \u00e9\n\r', min_size=1, max_size=5).filter(
+    lambda s: s.strip() == s and s not in ("NA", "?")
+)
+
+
+def _table(y, x, grades=None) -> DataTable:
+    """A table of y and x, with a categorical column between them unless
+    grades is None, so that loading it can take the C reader."""
+    variables = [Variable("y", "outcome", position=0), Variable("x", "treatment")]
+    columns = {"y": np.array(y), "x": np.array(x)}
+    levels = {}
+    if grades is not None:
+        variables.insert(1, Variable("grade", "covariate", kind="categorical"))
+        levels["grade"] = tuple(sorted(set(grades)))
+        columns["grade"] = np.array([levels["grade"].index(g) + 1 for g in grades], dtype=float)
+    return DataTable(schema=TableSchema(tuple(variables)), columns=columns, levels=levels)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rows=st.lists(st.tuples(_FLOATS, _FLOATS, _LEVELS), min_size=1, max_size=12),
+    delimiter=st.sampled_from([";", ",", "\t", "."]),
+    categorical=st.booleans(),
+)
+def test_save_then_load_is_bit_identical(rows, delimiter, categorical, tmp_path_factory):
+    y, x, grades = zip(*rows)
+    table = _table(y, x, grades if categorical else None)
+    path = tmp_path_factory.mktemp("round") / "data.csv"
+    save_table(table, path, delimiter)
+    assert path.read_bytes() == _row_writer_bytes(table, delimiter)
+    again = load_table(path, table.schema, delimiter)
+    assert again.levels == table.levels
+    for name, col in table.columns.items():
+        assert again.columns[name].tobytes() == col.tobytes()
+
+
+def test_save_matches_the_row_writer_across_chunks(tmp_path):
+    """Rows on both sides of each chunk boundary are written as one row
+    writer would write them."""
+    n = 2 * _SAVE_CHUNK_ROWS + 3
+    rng = np.random.default_rng(5)
+    grades = [("a;b", 'q"', "z")[k] for k in rng.integers(0, 3, n)]
+    table = _table(rng.standard_normal(n), rng.integers(0, 2, n).astype(float), grades)
+    path = tmp_path / "data.csv"
+    save_table(table, path)
+    assert path.read_bytes() == _row_writer_bytes(table, ";")

@@ -381,11 +381,28 @@ _CHAIN = {"kind": "pns_multi", "thresholds": [[1.0], [2.0]], "treatments": [[0.0
                      "thresholds must be a list of vectors, got '12'", id="thresholds"),
         pytest.param({**_CHAIN, "treatments": 3},
                      "treatments must be a list of vectors, got 3", id="treatments"),
+        pytest.param({**_PNS, "threshold": ["0.9", "0.2"]},
+                     "threshold must be a list of numbers, got ['0.9', '0.2']",
+                     id="threshold-numeric-strings"),
+        pytest.param({**_PNS, "x0": ["0"]}, "x0 must be a list of numbers, got ['0']",
+                     id="x0-numeric-string"),
+        pytest.param({**_PNS, "c": [1.0, "1"]}, "c must be a list of numbers, got [1.0, '1']",
+                     id="c-numeric-string"),
+        pytest.param({**_EVIDENCE, "evidence": {"y": ["0.5", 0.5], "x": [1.0]}},
+                     "evidence.y must be a list of numbers, got ['0.5', 0.5]",
+                     id="evidence-y-numeric-string"),
+        pytest.param({**_CHAIN, "thresholds": [["1"], [2.0]]},
+                     "thresholds[0] must be a list of numbers, got ['1']",
+                     id="thresholds-entry-numeric-string"),
+        pytest.param({**_CHAIN, "treatments": [[0.0], ["0.5"], [1.0]]},
+                     "treatments[1] must be a list of numbers, got ['0.5']",
+                     id="treatments-entry-numeric-string"),
     ],
 )
 def test_strings_are_not_number_lists(payload, message):
     """A JSON string where a list belongs is rejected, not read as a list
-    of its characters."""
+    of its characters; a number written as a string is rejected, not
+    parsed, just as "1" is not accepted as a priority or row."""
     with pytest.raises(ConfigError) as info:
         query_from_dict(payload)
     assert str(info.value) == message

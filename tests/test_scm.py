@@ -727,11 +727,22 @@ def test_trajectories_count_crossings_per_pair():
         pytest.param("tabular", ("noise", "lo"), ["z"], "lo", id="lo-string"),
         pytest.param("lexi2", ("order",), {"kind": "scalar_score", "weights": ["x", 1.0]},
                      "weights", id="weights-string"),
+        pytest.param("nonmono", ("coupling", "flip_at"), "0.25", "flip_at",
+                     id="flip_at-numeric-string"),
+        pytest.param("lexi2", ("mean", "intercept"), ["1e0", 0.0], "intercept",
+                     id="intercept-numeric-string"),
+        pytest.param("lexi2", ("mean", "treat_coef"), [[1.0], ["2"]], "treat_coef",
+                     id="treat_coef-nested-numeric-string"),
+        pytest.param("lexi2", ("noise", "sd"), "1", "sd", id="sd-numeric-string"),
+        pytest.param("tabular", ("mean", "cuts"), [["0.5"]], "cuts", id="cuts-numeric-string"),
+        pytest.param("lexi2", ("order",), {"kind": "scalar_score", "weights": ["1", 1.0]},
+                     "weights", id="weights-numeric-string"),
     ],
 )
 def test_malformed_spec_numbers_name_their_field(base, path, value, field):
     """A ragged or non-numeric array in a model spec is a ConfigError that
-    names the field, never a bare numpy ValueError."""
+    names the field, never a bare numpy ValueError; a number written as a
+    string, at any depth, is rejected, not parsed."""
     obj = json.load(open(packaged_spec_path(base), encoding="utf-8"))
     target = obj
     for key in path[:-1]:
