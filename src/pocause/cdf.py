@@ -145,9 +145,10 @@ def fit_logistic(features, labels, *, ridge: float = 0.0) -> LogisticModel:
 
 
 class _ThresholdCdf:
-    """What both estimators share: the (x, c) columns, the outcome order,
-    the check on query points, and one fitted state per threshold, built
-    from that threshold's indicator columns the first time it is asked for.
+    """What both estimators share: the number of (x, c) columns, the outcome
+    order, the check on query points, and one fitted state per threshold,
+    which the subclass's _fit builds from that threshold's indicator
+    columns the first time it is asked for.
     """
 
     def __init__(self, table: DataTable, order: OrderSpec | None):
@@ -156,10 +157,9 @@ class _ThresholdCdf:
         if n_y == 0:
             raise ConfigError("table has no outcome columns")
         self.order = order if order is not None else lexicographic_default(n_y)
-        x, c = table.treatments(), table.covariates()
-        self._n_x, self._n_c = x.shape[1], c.shape[1]
-        self._xc = np.hstack([x, c])
-        if self._xc.shape[1] == 0:
+        self._n_x = len(table.schema.treatment_names)
+        self._n_c = len(table.schema.covariate_names)
+        if self._n_x + self._n_c == 0:
             raise ConfigError("table has neither treatment nor covariate columns")
         self._by_threshold: dict[bytes, tuple] = {}
         self.clip_count = 0
@@ -181,54 +181,44 @@ class _ThresholdCdf:
             self._by_threshold[key] = self._fit(threshold, strict, weak)
         return self._by_threshold[key]
 
-    def _fit(self, threshold, strict, weak) -> tuple:
-        """What rho_pair keeps per threshold: here the indicator columns."""
-        return strict, weak
-
 
 class EmpiricalCdf(_ThresholdCdf):
     """Conditional CDF by exact (x, c) stratum counting.
 
-    The stratum index comes from one stable sort of the (x, c) rows: each
-    distinct row maps to its row numbers, in ascending order. Strata are
-    keyed and looked up by value, so -0.0 and 0.0 name the same stratum.
-    Asking for a stratum with no rows raises NoSupportError; there is no
-    smoothing and no borrowing across strata.
+    The strata are the table's stratum index (DataTable.stratum_index):
+    each row's intp stratum code, sorted once per table and inherited by
+    every resample that take() makes of it. Stratum sizes and, per
+    threshold, the strict and weak counts are bincounts over those codes,
+    exact integers. Points are looked up by value, so -0.0 and 0.0 name
+    the same stratum. Asking for a stratum with no rows raises
+    NoSupportError; there is no smoothing and no borrowing across strata.
     """
 
     def __init__(self, table: DataTable, order: OrderSpec | None = None):
         super().__init__(table, order)
-        xc = self._xc
-        rows = np.lexsort(xc.T)
-        ordered = xc[rows]
-        starts = np.zeros(xc.shape[0], dtype=bool)
-        starts[:1] = True
-        for j in range(xc.shape[1]):
-            starts[1:] |= ordered[1:, j] != ordered[:-1, j]
-        first = np.flatnonzero(starts)
-        ends = np.append(first[1:], xc.shape[0])
-        self._strata = {
-            tuple(key): rows[a:b]
-            for key, a, b in zip(ordered[first].tolist(), first.tolist(), ends.tolist())
-        }
+        self._codes, self._lookup = table.stratum_index()
+        self._sizes = np.bincount(self._codes, minlength=len(self._lookup))
+
+    def _fit(self, threshold, strict, weak) -> tuple:
+        """The strict and weak counts in each stratum, as floats: sums of
+        0s and 1s, exact well past any table's row count."""
+        return tuple(np.bincount(self._codes, weights=below) for below in (strict, weak))
 
     def rho_pair(self, threshold, points) -> tuple[np.ndarray, np.ndarray]:
-        strata = []
+        codes = []
         for point in self._points(points).tolist():
-            idx = self._strata.get(tuple(point))
-            if idx is None:
+            code = self._lookup.get(tuple(point))
+            if code is None or self._sizes[code] == 0:
                 raise NoSupportError(
                     f"no observations with treatment {point[: self._n_x]} "
                     f"and covariates {point[self._n_x:]}"
                 )
-            strata.append(idx)
+            codes.append(code)
+        codes = np.array(codes, dtype=np.intp)
         strict, weak = self._fitted(threshold)
-        # Exact integer counts, so count / size is what a boolean mean gives.
-        counts = np.array(
-            [(np.count_nonzero(strict[idx]), np.count_nonzero(weak[idx]), idx.size) for idx in strata],
-            dtype=float,
-        ).reshape(-1, 3)
-        return counts[:, 0] / counts[:, 2], counts[:, 1] / counts[:, 2]
+        # Whole-number counts, so count / size is what a boolean mean gives.
+        sizes = self._sizes[codes]
+        return strict[codes] / sizes, weak[codes] / sizes
 
 
 class LogisticCdf(_ThresholdCdf):
@@ -246,6 +236,7 @@ class LogisticCdf(_ThresholdCdf):
 
     def __init__(self, table: DataTable, order: OrderSpec | None = None, *, ridge: float = 0.0):
         super().__init__(table, order)
+        self._xc = np.hstack([table.treatments(), table.covariates()])
         self.ridge = float(ridge)
 
     def _fit_side(self, labels: np.ndarray) -> tuple:

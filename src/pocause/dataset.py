@@ -166,12 +166,19 @@ class DataTable:
     code order, i.e. levels[name][k] is the string coded as k + 1. Codes
     are part of the table's identity: row subsets (resamples) keep the
     original coding even if they no longer contain every level.
+
+    A table also carries one stratum index, built the first time
+    stratum_index() is called: each row's (x, c) stratum as an intp code,
+    and the code of each distinct (x, c) row. take() gathers the codes with
+    the columns, so a resample inherits its rows' strata instead of sorting
+    again. A table's columns must not change after its index is built.
     """
 
     schema: TableSchema
     columns: dict[str, np.ndarray]
     levels: dict[str, tuple[str, ...]] = field(default_factory=dict)
     source: str | None = None
+    _strata = None  # (codes, lookup) once built; not a dataclass field
 
     @property
     def n_rows(self) -> int:
@@ -193,14 +200,42 @@ class DataTable:
     def covariates(self) -> np.ndarray:
         return self._matrix(self.schema.covariate_names)
 
+    def stratum_index(self) -> tuple[np.ndarray, dict[tuple, int]]:
+        """Each row's (x, c) stratum code, and the code of each distinct
+        (x, c) row, for a table with at least one treatment or covariate.
+
+        One stable sort of the (treatment, covariate) rows numbers the
+        distinct rows 0, 1, ... in sorted order. The lookup is keyed by
+        value, as a tuple of floats, so -0.0 and 0.0 name one stratum. A
+        table made by take() has its parent's lookup and its rows' parent
+        codes, so some strata may have no rows in it.
+        """
+        if self._strata is None:
+            xc = np.hstack([self.treatments(), self.covariates()])
+            rows = np.lexsort(xc.T)
+            ordered = xc[rows]
+            starts = np.zeros(xc.shape[0], dtype=bool)
+            starts[:1] = True
+            for j in range(xc.shape[1]):
+                starts[1:] |= ordered[1:, j] != ordered[:-1, j]
+            codes = np.empty(xc.shape[0], dtype=np.intp)
+            codes[rows] = np.cumsum(starts) - 1
+            lookup = {tuple(key): code for code, key in enumerate(ordered[starts].tolist())}
+            self._strata = (codes, lookup)
+        return self._strata
+
     def take(self, indices) -> "DataTable":
         idx = np.asarray(indices, dtype=int)
-        return DataTable(
+        out = DataTable(
             schema=self.schema,
             columns={name: col[idx] for name, col in self.columns.items()},
             levels=dict(self.levels),
             source=self.source,
         )
+        if self._strata is not None:
+            codes, lookup = self._strata
+            out._strata = (codes[idx], lookup)
+        return out
 
 
 def _check_delimiter(delimiter) -> None:

@@ -522,7 +522,8 @@ def estimate_with_interval(
     query with that; each query's interval, failure count included, is the
     one it gets on its own. A {"row": k} reference is bound to row k's
     covariates in table first, so every resample conditions on that same
-    unit, not on whichever unit the resample puts at row k. The interval
+    unit, not on whichever unit the resample puts at row k. The
+    bootstrap's full-sample pass reuses the point estimates. The interval
     arguments are checked even when n_boot is 0.
     """
     n_boot, alpha, threads = interval_settings(n_boot, alpha, threads, min_boot=0)
@@ -537,6 +538,8 @@ def estimate_with_interval(
         return [(estimate, None) for estimate in estimates]
 
     def answers(t: DataTable) -> list:
+        if t is table:  # bootstrap's full-sample pass: the points above
+            return [estimate.value for estimate in estimates]
         estimators, values = {}, []
         for q in queries:
             try:

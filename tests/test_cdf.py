@@ -125,11 +125,12 @@ def test_empirical_negative_zero_finds_zero_stratum(small_table):
 
 @st.composite
 def _stratified_tables(draw):
-    """Small tables whose treatment and covariate columns each take 1-3
-    distinct values, -0.0 among the candidates, plus a point to look up."""
+    """Small tables, zero rows among them, whose treatment and covariate
+    columns each take 1-3 distinct values, -0.0 among the candidates, plus
+    a point to look up."""
     n_x = draw(st.integers(1, 2))
     n_c = draw(st.integers(0, 2))
-    n = draw(st.integers(1, 30))
+    n = draw(st.integers(0, 30))
     cells = st.sampled_from([-0.0, 0.0, 1.0, 2.5])
     columns = {"y": np.array(draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)), float)}
     for name in [f"x{j}" for j in range(n_x)] + [f"c{j}" for j in range(n_c)]:
@@ -138,6 +139,13 @@ def _stratified_tables(draw):
     point = draw(st.lists(cells, min_size=n_x + n_c, max_size=n_x + n_c))
     threshold = float(draw(st.integers(0, 5)))
     return n_x, columns, point, threshold
+
+
+def _schema(names):
+    return TableSchema(
+        (Variable("y", "outcome", position=0),)
+        + tuple(Variable(name, "treatment" if name[0] == "x" else "covariate") for name in names)
+    )
 
 
 def _check_against_mask(est, columns, names, point, threshold):
@@ -160,14 +168,49 @@ def _check_against_mask(est, columns, names, point, threshold):
 def test_empirical_rho_pair_matches_brute_force_counts(case):
     n_x, columns, point, threshold = case
     names = [name for name in columns if name != "y"]
-    schema = TableSchema(
-        (Variable("y", "outcome", position=0),)
-        + tuple(Variable(name, "treatment" if name[0] == "x" else "covariate") for name in names)
-    )
-    est = EmpiricalCdf(DataTable(schema, columns))
+    est = EmpiricalCdf(DataTable(_schema(names), columns))
     present = {tuple(row) for row in np.column_stack([columns[n] for n in names]).tolist()}
     for row in sorted(present) + [point]:
         _check_against_mask(est, columns, names, list(row), threshold)
+
+
+def _outcome(est, threshold, point):
+    """rho_pair's values at one point as bytes, or its NoSupportError."""
+    try:
+        strict, weak = est.rho_pair((threshold,), [point])
+    except NoSupportError as exc:
+        return "NoSupportError", str(exc)
+    return strict.tobytes(), weak.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_stratified_tables(), st.data())
+def test_a_resample_inherits_its_parents_strata(case, data):
+    """An estimator on table.take(idx) counts through the parent's stratum
+    index; it answers bit for bit what one on a fresh table of the same
+    rows answers, or raises the same NoSupportError. The draws include
+    empty ones and ones confined to a few rows, which empty strata."""
+    _, columns, point, threshold = case
+    names = [name for name in columns if name != "y"]
+    table = DataTable(_schema(names), columns)
+    table.stratum_index()
+    n = table.n_rows
+    rows = st.integers(0, n - 1)
+    draws = [[]] if n == 0 else [
+        data.draw(st.lists(rows, max_size=2 * n)),
+        data.draw(st.lists(rows, min_size=n, max_size=n)),
+        data.draw(st.lists(st.sampled_from(data.draw(st.lists(rows, min_size=1, max_size=2))),
+                           min_size=1, max_size=n)),
+    ]
+    present = sorted({tuple(row) for row in np.column_stack([columns[m] for m in names]).tolist()})
+    for idx in draws:
+        idx = np.array(idx, dtype=int)
+        resample = table.take(idx)
+        assert resample.stratum_index()[1] is table.stratum_index()[1]
+        inherited = EmpiricalCdf(resample)
+        fresh = EmpiricalCdf(DataTable(table.schema, {k: v[idx] for k, v in columns.items()}))
+        for row in present + [tuple(point)]:
+            assert _outcome(inherited, threshold, list(row)) == _outcome(fresh, threshold, list(row))
 
 
 @st.composite

@@ -11,6 +11,7 @@ from pocause import (
     NotIdentifiedError,
     PoCQuery,
     binary_poc,
+    estimate_with_interval,
     evaluate_query,
     load_scm,
     marginal_pns,
@@ -26,6 +27,7 @@ from pocause import (
     scm_from_dict,
     simulate,
 )
+from pocause import estimands
 from pocause.estimands import _build_estimator
 
 EXACT = 1e-12
@@ -249,6 +251,26 @@ def test_evaluate_query_on_hand_countable_table(small_table):
     assert not est.clamped_at_zero
     assert est.components["rho_y_x0"] == 0.5
     assert est.components["rho_y_x1"] == 0.5
+
+
+@pytest.mark.parametrize("method", ["empirical", "logistic"])
+def test_interval_reuses_the_point_estimate(small_table, monkeypatch, method):
+    """The bootstrap's full-sample pass takes the values evaluate_query
+    already computed: one estimator for the point and one per replicate."""
+    built = []
+
+    def counting_build(*args):
+        built.append(args[0])
+        return _build_estimator(*args)
+
+    monkeypatch.setattr(estimands, "_build_estimator", counting_build)
+    query = PoCQuery(kind="pns", thresholds=((3.0,),), treatments=((0.0,), (1.0,)),
+                     covariates=(0.0,))
+    config = EstimatorConfig(method=method)
+    [(estimate, interval)] = estimate_with_interval(small_table, [query], config, n_boot=3, seed=4)
+    assert len(built) == 4
+    assert built[0] is small_table
+    assert interval.point == estimate.value
 
 
 def test_harmful_shift_is_flagged_as_clamped(scalar_schema, write_csv):
