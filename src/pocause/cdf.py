@@ -100,6 +100,7 @@ def fit_logistic(features, labels, *, ridge: float = 0.0) -> LogisticModel:
     design = np.hstack([np.ones((n, 1)), X])
     penalty = np.zeros(p + 1)
     penalty[1:] = ridge
+    penalty_matrix = np.diag(penalty)
     beta = np.zeros(p + 1)
     # Warm-start the intercept at the marginal log-odds.
     beta[0] = float(np.log(mean_y / (1.0 - mean_y)))
@@ -114,7 +115,7 @@ def fit_logistic(features, labels, *, ridge: float = 0.0) -> LogisticModel:
         if converged or n_iter == IRLS_MAX_ITER:
             break
         w = prob * (1.0 - prob)
-        hess = design.T @ (design * w[:, None]) + np.diag(penalty)
+        hess = design.T @ (design * w[:, None]) + penalty_matrix
         try:
             step = np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError as exc:
@@ -222,25 +223,39 @@ class EmpiricalCdf(_ThresholdCdf):
 
 
 class LogisticCdf(_ThresholdCdf):
-    """Conditional CDF via a logistic fit of each threshold indicator. The
-    fit is deterministic, so when the strict and weak columns agree (always,
-    for a continuous outcome) one fit serves both sides.
+    """Conditional CDF via a logistic fit of each threshold indicator.
+
+    Each distinct indicator column is fitted once per estimator, whichever
+    thresholds and sides ask for it: for a continuous outcome a threshold's
+    strict and weak columns agree, and on integer outcomes several
+    thresholds give the same column. Fits are deterministic, so the stored
+    model is the one a refit would give, bit for bit. A model that serves
+    both sides of a threshold is evaluated once.
 
     Constant indicator columns (threshold outside the observed outcome
     range) short-circuit to the exact probability 0 or 1 with a diagnostic;
     a separation failure is retried once with a small ridge, and a fit that
-    stops without converging is used as is; both leave a diagnostic too.
-    Where the two fits put strict above weak, strict is pulled down to weak
-    and clip_count counts the point.
+    stops without converging is used as is; both leave a diagnostic too,
+    written for each side the column serves. Where the two fits put strict
+    above weak, strict is pulled down to weak and clip_count counts the
+    point.
     """
 
     def __init__(self, table: DataTable, order: OrderSpec | None = None, *, ridge: float = 0.0):
         super().__init__(table, order)
         self._xc = np.hstack([table.treatments(), table.covariates()])
         self.ridge = float(ridge)
+        self._by_column: dict[bytes, tuple] = {}
 
-    def _fit_side(self, labels: np.ndarray) -> tuple:
-        """The model for one indicator column, and notes on how it was got."""
+    def _fit_side(self, below: np.ndarray) -> tuple:
+        """The model for one indicator column, and notes on how it was got;
+        fitted the first time the column is asked for."""
+        key = np.packbits(below).tobytes()
+        if key not in self._by_column:
+            self._by_column[key] = self._fit_column(below.astype(float))
+        return self._by_column[key]
+
+    def _fit_column(self, labels: np.ndarray) -> tuple:
         rate = float(labels.mean())
         if rate == 0.0 or rate == 1.0:
             return rate, [f"indicator is constant {int(rate)}; using it directly"]
@@ -260,20 +275,26 @@ class LogisticCdf(_ThresholdCdf):
 
     def _fit(self, threshold, strict, weak) -> tuple:
         label = np.asarray(threshold, dtype=float).tolist()
-        strict_fit = self._fit_side(strict.astype(float))
-        weak_fit = (
-            strict_fit if np.array_equal(strict, weak) else self._fit_side(weak.astype(float))
-        )
-        for side, (_, notes) in (("strict", strict_fit), ("weak", weak_fit)):
+        fits = self._fit_side(strict), self._fit_side(weak)
+        for side, (_, notes) in zip(("strict", "weak"), fits):
             self.diagnostics.extend(f"{side} indicator at {label}: {note}" for note in notes)
-        return strict_fit[0], weak_fit[0]
+        return fits[0][0], fits[1][0]
 
     def rho_pair(self, threshold, points) -> tuple[np.ndarray, np.ndarray]:
         pts = self._points(points)
-        strict, weak = (
-            np.full(pts.shape[0], model) if isinstance(model, float) else model.predict_proba(pts)
-            for model in self._fitted(threshold)
-        )
+        strict_model, weak_model = self._fitted(threshold)
+        strict = _predict(strict_model, pts)
+        if weak_model is strict_model:
+            return strict, strict
+        weak = _predict(weak_model, pts)
         clipped = strict > weak
         self.clip_count += int(np.count_nonzero(clipped))
         return np.where(clipped, weak, strict), weak
+
+
+def _predict(model: LogisticModel | float, points: np.ndarray) -> np.ndarray:
+    """A side's CDF values at points: its fitted model's probabilities, or
+    its constant indicator rate."""
+    if isinstance(model, float):
+        return np.full(points.shape[0], model)
+    return model.predict_proba(points)

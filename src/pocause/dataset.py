@@ -273,11 +273,16 @@ def _load_numeric(path, wanted, delimiter: str) -> dict[str, np.ndarray] | None:
     Whatever loadtxt parses, float() parses to the same bits, and a row
     whose field count differs from the first row's makes it fail. It
     rejects quotes, underscores and non-ASCII digits, which the csv reader
-    may accept. The checks after it return None where the csv reader would
-    raise: no data rows, a field count other than the header's, a missing
-    schema column, or a value that is not finite.
+    may accept, and it parses cells of any length. So a file with a line
+    longer than the csv reader's field limit, which might hold a cell that
+    reader rejects, goes to the csv reader unread. The checks after
+    loadtxt return None where the csv reader would raise: no data rows, a
+    field count other than the header's, a missing schema column, or a
+    value that is not finite.
     """
     try:
+        if _longest_line(path) > csv.field_size_limit():
+            return None
         with open(path, newline="", encoding="utf-8") as fh:
             header = [h.strip() for h in next(csv.reader(fh, delimiter=delimiter), [])]
             with warnings.catch_warnings():
@@ -297,6 +302,21 @@ def _load_numeric(path, wanted, delimiter: str) -> dict[str, np.ndarray] | None:
     return {name: arr[:, header.index(name)].copy() for name in wanted}
 
 
+def _longest_line(path) -> int:
+    """The bytes in the file's longest line, split at each \\n and \\r: a
+    bound on the characters in any one of its cells."""
+    widest, last, pos = 0, -1, 0  # widest gap between line ends; last line end
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 16):
+            b = np.frombuffer(chunk, dtype=np.uint8)
+            ends = np.flatnonzero((b == 10) | (b == 13)) + pos
+            if ends.size:
+                widest = max(widest, int(ends[0] - last), int(np.diff(ends).max(initial=0)))
+                last = int(ends[-1])
+            pos += len(chunk)
+    return max(widest, pos - last) - 1
+
+
 def _load_csv(path, schema: TableSchema, delimiter: str) -> DataTable:
     """load_table through the csv module, cell by cell: the reference
     reader, the only one that reports errors, and the one for categorical
@@ -308,9 +328,9 @@ def _load_csv(path, schema: TableSchema, delimiter: str) -> DataTable:
         raise SchemaError(f"cannot read data file {path}: {exc}") from exc
     try:
         with fh:
-            reader = csv.reader(fh, delimiter=delimiter)
+            records = _records(csv.reader(fh, delimiter=delimiter), path)
             try:
-                header = next(reader)
+                _, header = next(records)
             except StopIteration:
                 raise SchemaError(f"{path}: file is empty") from None
             header = [h.strip() for h in header]
@@ -322,7 +342,7 @@ def _load_csv(path, schema: TableSchema, delimiter: str) -> DataTable:
 
             raw: dict[str, list[str]] = {name: [] for name in wanted}
             lines: list[int] = []
-            for line_no, row in enumerate(reader, start=2):
+            for line_no, row in records:
                 if not row:
                     continue
                 if len(row) != len(header):
@@ -374,6 +394,22 @@ def _load_csv(path, schema: TableSchema, delimiter: str) -> DataTable:
             columns[name] = np.array([code[c] for c in cells], dtype=float)
             levels[name] = lvls
     return DataTable(schema=schema, columns=columns, levels=levels, source=str(path))
+
+
+def _records(reader, path):
+    """The csv reader's records, each with its line number (the header is
+    line 1). A record the reader rejects, such as one with a cell longer
+    than csv.field_size_limit(), raises DataError naming its line."""
+    line_no = 1
+    while True:
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise DataError(f"{path}: line {line_no}: {exc}") from None
+        yield line_no, row
+        line_no += 1
 
 
 def save_table(table: DataTable, path, delimiter: str = ";") -> None:

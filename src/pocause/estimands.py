@@ -578,7 +578,13 @@ def _average_pns(estimator, table: DataTable, query: PoCQuery) -> PoCEstimate:
         profiles = np.empty((1, 0))
         weights = np.array([1.0])
     else:
-        profiles, counts = np.unique(cov, axis=0, return_counts=True)
+        # The distinct rows in np.unique's (lexicographic) order, by one
+        # stable sort; the cumsum below depends on that order.
+        ordered = cov[np.lexsort(cov.T[::-1])]
+        starts = np.ones(ordered.shape[0], dtype=bool)
+        starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+        profiles = ordered[starts]
+        counts = np.diff(np.append(np.flatnonzero(starts), ordered.shape[0]))
         weights = counts / counts.sum()
 
     upper, lower, _, notes = _gather(estimator, query, profiles)

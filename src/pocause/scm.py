@@ -388,11 +388,15 @@ class TreatmentPolicy(_Piece):
     def sample(self, C: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """One support row per data row; one uniform per row, in row order."""
         u = rng.random(C.shape[0])
+        eta = self.logits[None, :]
         if C.shape[1] == 0 or self.covariate_logits is None:
-            profiles, inv = np.zeros((1, C.shape[1])), 0
+            inv = 0
         else:
             profiles, inv = np.unique(C, axis=0, return_inverse=True)
-        cum = np.array([np.cumsum(self.probabilities(c)) for c in profiles])
+            eta = eta + (self.covariate_logits @ profiles[:, :, None])[:, :, 0]
+        # probabilities(c) for every profile at once, row by row, to the bit.
+        w = np.exp(eta - eta.max(axis=1, keepdims=True))
+        cum = np.cumsum(w / w.sum(axis=1, keepdims=True), axis=1)
         # A row's level is the number of its profile's cumulative
         # probabilities at or below u, capped at the last level; counting
         # over all levels but the last applies the cap.

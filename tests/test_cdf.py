@@ -12,9 +12,11 @@ from pocause import (
     LogisticCdf,
     NoSupportError,
     SeparationError,
+    SingularError,
     TableSchema,
     Variable,
     fit_logistic,
+    indicator_below,
     lexicographic_default,
 )
 
@@ -325,6 +327,184 @@ def test_equal_indicator_columns_share_one_fit(monkeypatch):
     np.testing.assert_array_equal(strict, weak)
     est.rho_pair((float(y[0]),), [(1.0,)])
     assert len(calls) == 3
+
+
+class _Refitting:
+    """The logistic estimator without its column cache: every side of every
+    threshold is fitted afresh and evaluated on its own."""
+
+    def __init__(self, table):
+        self.table = table
+        self.xc = np.hstack([table.treatments(), table.covariates()])
+        self.order = lexicographic_default(len(table.schema.outcome_names))
+        self.models = {}
+        self.clip_count = 0
+        self.diagnostics = []
+
+    def _side(self, labels):
+        rate = float(labels.mean())
+        if rate in (0.0, 1.0):
+            return rate, [f"indicator is constant {int(rate)}; using it directly"]
+        notes = []
+        try:
+            model = fit_logistic(self.xc, labels)
+        except SeparationError:
+            notes.append(f"separation; refitted with ridge {cdf.RIDGE_FALLBACK:g}")
+            model = fit_logistic(self.xc, labels, ridge=cdf.RIDGE_FALLBACK)
+        if not model.converged:
+            notes.append(
+                f"IRLS stopped unconverged after {model.n_iter} iteration(s); using the last iterate"
+            )
+        return model, notes
+
+    def rho_pair(self, threshold, points):
+        key = tuple(threshold)
+        if key not in self.models:
+            sides = indicator_below(self.table.outcomes(), threshold, self.order)
+            fits = [self._side(below.astype(float)) for below in sides]
+            for side, (_, notes) in zip(("strict", "weak"), fits):
+                self.diagnostics.extend(f"{side} indicator at {list(key)}: {note}" for note in notes)
+            self.models[key] = [model for model, _ in fits]
+        pts = np.asarray(points, dtype=float)
+        strict, weak = (
+            np.full(len(pts), m) if isinstance(m, float) else m.predict_proba(pts)
+            for m in self.models[key]
+        )
+        clipped = strict > weak
+        self.clip_count += int(np.count_nonzero(clipped))
+        return np.where(clipped, weak, strict), weak
+
+
+def _answers(est, asks):
+    """Each ask's (strict, weak) as bytes, up to the first exception, which
+    ends the list as its class and message; then clip_count and the
+    diagnostics."""
+    out = []
+    for threshold, points in asks:
+        try:
+            strict, weak = est.rho_pair(threshold, points)
+        except (SeparationError, SingularError) as exc:
+            out.append((type(exc).__name__, str(exc)))
+            break
+        out.append((strict.tobytes(), weak.tobytes()))
+    return out, est.clip_count, list(est.diagnostics)
+
+
+def _check_column_cache(table, asks):
+    """LogisticCdf answers every ask as _Refitting does, bit for bit, with
+    the same clip_count and diagnostics in the same order, and fits each
+    distinct non-constant indicator column once: one fit_logistic call
+    per column, plus one ridge refit per column that separates. Returns
+    the diagnostics and the number of fit_logistic calls."""
+    calls = []
+
+    def counting_fit(features, labels, **kwargs):
+        calls.append((np.asarray(labels, dtype=bool).tobytes(), kwargs.get("ridge", 0.0)))
+        return fit_logistic(features, labels, **kwargs)
+
+    expected = _answers(_Refitting(table), asks)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cdf, "fit_logistic", counting_fit)
+        got = _answers(LogisticCdf(table), asks)
+    assert got == expected
+    order = lexicographic_default(len(table.schema.outcome_names))
+    answered = [t for (t, _), answer in zip(asks, got[0]) if isinstance(answer[0], bytes)]
+    columns = {
+        below.tobytes()
+        for t in answered
+        for below in indicator_below(table.outcomes(), t, order)
+        if 0 < below.sum() < below.size
+    }
+    fitted = {labels for labels, ridge in calls if ridge == 0.0}
+    assert len(set(calls)) == len(calls)
+    # An ask that raised may have fitted a column before the failing one.
+    assert fitted == columns if len(answered) == len(got[0]) else fitted >= columns
+    return got[2], len(calls)
+
+
+def _grades_table(n=120, seed=4):
+    """Three integer grades that rise together with a treatment and a
+    covariate, as in the education study; as there, no row is (6, 6, 5)."""
+    rng = np.random.default_rng(seed)
+    x = rng.integers(1, 5, n).astype(float)
+    c = rng.integers(0, 2, n).astype(float)
+    g1 = np.clip(np.round(3 + x + c + rng.normal(0, 1.5, n)), 0, 10)
+    g2 = np.clip(g1 + rng.integers(-1, 2, n), 0, 10)
+    g3 = np.clip(g2 + rng.integers(-1, 2, n), 0, 10)
+    g1[(g3 == 6) & (g2 == 6) & (g1 == 5)] = 6
+    schema = TableSchema((
+        Variable("g3", "outcome", position=0), Variable("g2", "outcome", position=1),
+        Variable("g1", "outcome", position=2), Variable("x", "treatment"),
+        Variable("c", "covariate"),
+    ))
+    return DataTable(schema, {"g3": g3, "g2": g2, "g1": g1, "x": x, "c": c})
+
+
+def test_coinciding_columns_are_fitted_once():
+    """On integer grades with no (6, 6, 5) row, (6, 6, 5)'s strict and weak
+    columns are both (6, 6, 6)'s strict column, and (5, 5, 5.5) repeats
+    (5, 5, 5)'s weak one: eight threshold sides, four distinct columns."""
+    table = _grades_table()
+    points = [(x, c) for x in (1.0, 4.0) for c in (0.0, 1.0)]
+    asks = [(t, points) for t in ((6.0, 6.0, 6.0), (5.0, 5.0, 5.0), (6.0, 6.0, 5.0),
+                                  (5.0, 5.0, 5.5), (6.0, 6.0, 6.0))]
+    assert _check_column_cache(table, asks) == ([], 4)
+
+
+def test_constant_columns_bypass_the_cache_too():
+    table = _grades_table()
+    points = [(2.0, 0.0), (3.0, 1.0)]
+    asks = [(t, points) for t in ((-1.0, 0.0, 0.0), (99.0, 0.0, 0.0), (-1.0, 5.0, 5.0))]
+    notes, fits = _check_column_cache(table, asks)
+    assert fits == 0
+    assert notes == [
+        f"{side} indicator at {t}: indicator is constant {v}; using it directly"
+        for t, v in (([-1.0, 0.0, 0.0], 0), ([99.0, 0.0, 0.0], 1), ([-1.0, 5.0, 5.0], 0))
+        for side in ("strict", "weak")
+    ]
+
+
+def test_a_separated_column_is_refitted_with_the_ridge_once():
+    schema = TableSchema((Variable("y", "outcome", position=0), Variable("x", "treatment")))
+    x = np.concatenate([np.zeros(20), np.full(20, 1e-9)])
+    table = DataTable(schema, {"y": np.where(x > 0, 5.0, 0.0), "x": x})
+    asks = [((t,), [(0.0,), (1e-9,)]) for t in (2.0, 3.0, 2.0, 0.0)]
+    notes, fits = _check_column_cache(table, asks)
+    # Thresholds 2 and 3 and 0's weak side share one column: five notes, two fits.
+    assert fits == 2
+    assert sum("separation; refitted with ridge 1e-06" in note for note in notes) == 5
+
+
+def test_an_unconverged_column_is_reused_with_its_note(monkeypatch):
+    monkeypatch.setattr(cdf, "IRLS_MAX_ITER", 1)
+    table = _grades_table()
+    asks = [(t, [(2.0, 1.0)]) for t in ((6.0, 6.0, 6.0), (6.0, 6.0, 5.0))]
+    notes, fits = _check_column_cache(table, asks)
+    assert (len(notes), fits) == (4, 2)
+    assert all("IRLS stopped unconverged after 1 iteration(s)" in note for note in notes)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    columns=st.tuples(st.integers(0, 2**32 - 1), st.integers(4, 25)).map(
+        lambda case: {
+            name: np.random.default_rng([case[0], k]).integers(0, levels, case[1]).astype(float)
+            for k, (name, levels) in enumerate((("y", 5), ("x", 3), ("c", 2)))
+        }
+    ),
+    thresholds=st.lists(st.sampled_from([-1.0, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 9.0]),
+                        min_size=1, max_size=6),
+    max_iter=st.sampled_from([1, 3, cdf.IRLS_MAX_ITER]),
+)
+def test_the_column_cache_answers_as_a_refit_would(columns, thresholds, max_iter):
+    """Small integer tables, 4 to 25 rows, where thresholds share columns,
+    columns are constant, fits stop short, and the solver may fail."""
+    schema = TableSchema((Variable("y", "outcome", position=0), Variable("x", "treatment"),
+                          Variable("c", "covariate")))
+    points = [(x, c) for x in (0.0, 2.0) for c in (0.0, 1.0)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cdf, "IRLS_MAX_ITER", max_iter)
+        _check_column_cache(DataTable(schema, columns), [((t,), points) for t in thresholds])
 
 
 def test_order_defaults_to_first_component_ascending(small_table):

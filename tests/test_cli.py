@@ -105,6 +105,14 @@ def test_missing_cell_is_a_data_error(workdir, capsys):
     assert "line 3" in err["error"]["message"]
 
 
+def test_a_cell_past_the_csv_field_limit_is_a_data_error(workdir, capsys):
+    (workdir / "data.csv").write_text("y;x;c\n1;0;0\n" + "1" * 140_000 + ";1;0\n", encoding="utf-8")
+    assert main(_estimate_args(workdir)) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "DataError"
+    assert "line 3: field larger than field limit" in err["error"]["message"]
+
+
 def test_off_support_query_is_an_identification_error(workdir, capsys):
     (workdir / "query.json").write_text(
         json.dumps({**QUERY, "x1": [42.0]}), encoding="utf-8"

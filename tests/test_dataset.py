@@ -3,7 +3,7 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pocause import (
@@ -257,8 +257,16 @@ def _delimited_files(draw):
     return data, schema, delimiter
 
 
+# A cell longer than the csv reader's field limit (131,072 characters): the
+# C reader alone would parse this one.
+_LONG_CELL = "0." + "0" * 140_000 + "1"
+
+
 @settings(max_examples=400, deadline=None)
 @given(case=_delimited_files())
+@example(case=(
+    f"v0\n{_LONG_CELL}\n".encode("utf-8"), TableSchema((Variable("v0", "outcome", position=0),)), ";"
+))
 def test_load_table_equals_the_csv_reader(case, tmp_path_factory):
     """Whatever path load_table takes, it gives the csv reader's columns,
     bit for bit, or the csv reader's exception and message."""
@@ -268,6 +276,20 @@ def test_load_table_equals_the_csv_reader(case, tmp_path_factory):
     assert _outcome(load_table, path, schema, delimiter) == _outcome(
         _load_csv, path, schema, delimiter
     )
+
+
+@pytest.mark.parametrize(
+    "kind, cell", [("numeric", _LONG_CELL), ("categorical", "a" * 140_000)], ids=["numeric", "categorical"]
+)
+def test_a_cell_past_the_csv_field_limit_is_a_data_error(kind, cell, write_csv):
+    """Both readers name the file and line of a cell the csv reader cannot
+    hold; neither lets the csv module's own error escape."""
+    path = write_csv(f"y;x\n1;0\n{cell};1\n2;0\n")
+    schema = TableSchema((Variable("y", "outcome", kind, position=0), Variable("x", "treatment")))
+    for read in (load_table, _load_csv):
+        with pytest.raises(DataError) as info:
+            read(path, schema, ";")
+        assert str(info.value) == f"{path}: line 3: field larger than field limit (131072)"
 
 
 def _row_writer_bytes(table, delimiter) -> bytes:

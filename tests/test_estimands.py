@@ -357,6 +357,26 @@ def test_marginal_matches_a_per_profile_loop(method):
     # Forty profiles: enough terms that a pairwise sum, unlike a left to
     # right one, changes the logistic total in the last bit.
     raw["covariates"] = {"support": [[0.07 * i] for i in range(40)], "probs": [1.0 / 40] * 40}
+    _assert_marginal_matches_a_loop(raw, method)
+
+
+@pytest.mark.parametrize("method", ["empirical", "logistic"])
+def test_marginal_sums_two_covariate_profiles_in_lexicographic_order(method):
+    """With two covariates, the profiles are summed first column first, as
+    np.unique orders them; ordering by the second column changes the
+    logistic total in the last bit."""
+    raw = load_scm(packaged_spec_path("lexi2")).as_dict()
+    raw["mean"]["cov_coef"] = [[0.5, 0.2], [-0.3, 0.1]]
+    raw["policy"]["covariate_logits"] = [[0.4, 0.1], [-0.4, 0.0]]
+    raw["covariates"] = {
+        "support": [[0.07 * i, float(7 * i % 5)] for i in range(40)], "probs": [1.0 / 40] * 40
+    }
+    _assert_marginal_matches_a_loop(raw, method)
+
+
+def _assert_marginal_matches_a_loop(raw, method):
+    """marginal_pns on a table simulated from raw equals, bit for bit, a
+    left to right sum over np.unique's profiles, one rho_pair per arm."""
     spec = scm_from_dict(raw)
     table = simulate(spec, 6000, seed=31)
     config = EstimatorConfig(method=method)
