@@ -353,7 +353,8 @@ class _Refitting:
             model = fit_logistic(self.xc, labels, ridge=cdf.RIDGE_FALLBACK)
         if not model.converged:
             notes.append(
-                f"IRLS stopped unconverged after {model.n_iter} iteration(s); using the last iterate"
+                f"IRLS stopped unconverged after {model.n_iter} iteration(s); "
+                "using the last iterate"
             )
         return model, notes
 
@@ -363,7 +364,9 @@ class _Refitting:
             sides = indicator_below(self.table.outcomes(), threshold, self.order)
             fits = [self._side(below.astype(float)) for below in sides]
             for side, (_, notes) in zip(("strict", "weak"), fits):
-                self.diagnostics.extend(f"{side} indicator at {list(key)}: {note}" for note in notes)
+                self.diagnostics.extend(
+                    f"{side} indicator at {list(key)}: {note}" for note in notes
+                )
             self.models[key] = [model for model, _ in fits]
         pts = np.asarray(points, dtype=float)
         strict, weak = (

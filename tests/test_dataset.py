@@ -265,7 +265,9 @@ _LONG_CELL = "0." + "0" * 140_000 + "1"
 @settings(max_examples=400, deadline=None)
 @given(case=_delimited_files())
 @example(case=(
-    f"v0\n{_LONG_CELL}\n".encode("utf-8"), TableSchema((Variable("v0", "outcome", position=0),)), ";"
+    f"v0\n{_LONG_CELL}\n".encode("utf-8"),
+    TableSchema((Variable("v0", "outcome", position=0),)),
+    ";",
 ))
 def test_load_table_equals_the_csv_reader(case, tmp_path_factory):
     """Whatever path load_table takes, it gives the csv reader's columns,
@@ -279,7 +281,9 @@ def test_load_table_equals_the_csv_reader(case, tmp_path_factory):
 
 
 @pytest.mark.parametrize(
-    "kind, cell", [("numeric", _LONG_CELL), ("categorical", "a" * 140_000)], ids=["numeric", "categorical"]
+    "kind, cell",
+    [("numeric", _LONG_CELL), ("categorical", "a" * 140_000)],
+    ids=["numeric", "categorical"],
 )
 def test_a_cell_past_the_csv_field_limit_is_a_data_error(kind, cell, write_csv):
     """Both readers name the file and line of a cell the csv reader cannot
