@@ -148,8 +148,7 @@ def fit_logistic(features, labels, *, ridge: float = 0.0) -> LogisticModel:
 class _ThresholdCdf:
     """What both estimators share: the number of (x, c) columns, the outcome
     order, the check on query points, and one fitted state per threshold,
-    which the subclass's _fit builds from that threshold's indicator
-    columns the first time it is asked for.
+    which the subclass's _fit builds the first time it is asked for.
     """
 
     def __init__(self, table: DataTable, order: OrderSpec | None):
@@ -162,7 +161,7 @@ class _ThresholdCdf:
         self._n_c = len(table.schema.covariate_names)
         if self._n_x + self._n_c == 0:
             raise ConfigError("table has neither treatment nor covariate columns")
-        self._by_threshold: dict[bytes, tuple] = {}
+        self._by_threshold: dict[tuple, tuple] = {}
         self.clip_count = 0
         self.diagnostics: list[str] = []
 
@@ -176,49 +175,84 @@ class _ThresholdCdf:
         return pts
 
     def _fitted(self, threshold) -> tuple:
-        key = np.asarray(threshold, dtype=float).tobytes()
+        key = _threshold_key(threshold)
         if key not in self._by_threshold:
-            strict, weak = indicator_below(self.table.outcomes(), threshold, self.order)
-            self._by_threshold[key] = self._fit(threshold, strict, weak)
+            self._by_threshold[key] = self._fit(threshold)
         return self._by_threshold[key]
+
+
+def _threshold_key(threshold) -> tuple:
+    """A threshold's shape and float bits: equal keys, equal indicators."""
+    thr = np.asarray(threshold, dtype=float)
+    return thr.shape, thr.tobytes()
 
 
 class EmpiricalCdf(_ThresholdCdf):
     """Conditional CDF by exact (x, c) stratum counting.
 
-    The strata are the table's stratum index (DataTable.stratum_index):
-    each row's intp stratum code, sorted once per table and inherited by
-    every resample that take() makes of it. Stratum sizes and, per
-    threshold, the strict and weak counts are bincounts over those codes,
-    exact integers. Points are looked up by value, so -0.0 and 0.0 name
-    the same stratum. Asking for a stratum with no rows raises
-    NoSupportError; there is no smoothing and no borrowing across strata.
+    The strata are those of the root table's stratum index
+    (DataTable.stratum_index), looked up by value, so -0.0 and 0.0 name the
+    same stratum. For each order and threshold the root keeps one cell
+    code per row, stratum * 4 + 2 * strict + weak, in the smallest unsigned
+    dtype that holds them all; every resample take() makes of the root
+    shares them. A table's counts are then one bincount of the codes at
+    its rows, or of all of them for the root itself: per stratum, the
+    strict, weak and total counts, exact integers. A resample's columns are
+    never read. Asking for a stratum with no rows raises NoSupportError;
+    there is no smoothing and no borrowing across strata.
     """
 
     def __init__(self, table: DataTable, order: OrderSpec | None = None):
         super().__init__(table, order)
-        self._codes, self._lookup = table.stratum_index()
-        self._sizes = np.bincount(self._codes, minlength=len(self._lookup))
+        self._root, self._rows = table.origin()
+        self._lookup = self._root.stratum_index()[1]
 
-    def _fit(self, threshold, strict, weak) -> tuple:
-        """The strict and weak counts in each stratum, as floats: sums of
-        0s and 1s, exact well past any table's row count."""
-        return tuple(np.bincount(self._codes, weights=below) for below in (strict, weak))
+    def _cells(self, threshold) -> np.ndarray:
+        """The root's cell code per row at threshold under this order."""
+        root, n_cells = self._root, 4 * len(self._lookup)
 
-    def rho_pair(self, threshold, points) -> tuple[np.ndarray, np.ndarray]:
+        def build():
+            codes = root.stratum_index()[0]
+            strict, weak = indicator_below(root.outcomes(), threshold, self.order)
+            return (codes * 4 + 2 * strict + weak).astype(np.min_scalar_type(max(n_cells - 1, 0)))
+
+        return root.cached((self.order, *_threshold_key(threshold)), build)
+
+    def _fit(self, threshold) -> tuple:
+        """The strict, weak and total counts in each stratum."""
+        cells = self._cells(threshold)
+        counts = np.bincount(
+            cells if self._rows is None else cells[self._rows], minlength=4 * len(self._lookup)
+        ).reshape(-1, 4)
+        return counts[:, 2] + counts[:, 3], counts[:, 1] + counts[:, 3], counts.sum(axis=1)
+
+    def _codes(self, points: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+        """Each point's stratum code; NoSupportError for the first point
+        whose stratum has no rows."""
         codes = []
-        for point in self._points(points).tolist():
+        for point in points.tolist():
             code = self._lookup.get(tuple(point))
-            if code is None or self._sizes[code] == 0:
+            if code is None or sizes[code] == 0:
                 raise NoSupportError(
                     f"no observations with treatment {point[: self._n_x]} "
                     f"and covariates {point[self._n_x:]}"
                 )
             codes.append(code)
-        codes = np.array(codes, dtype=np.intp)
-        strict, weak = self._fitted(threshold)
+        return np.array(codes, dtype=np.intp)
+
+    def rho_pair(self, threshold, points) -> tuple[np.ndarray, np.ndarray]:
+        pts = self._points(points)
+        try:
+            strict, weak, sizes = self._fitted(threshold)
+        except ConfigError:
+            # A threshold that cannot be counted: a point with no rows
+            # still fails first, as NoSupportError.
+            codes = self.table.stratum_index()[0]
+            self._codes(pts, np.bincount(codes, minlength=len(self._lookup)))
+            raise
+        codes = self._codes(pts, sizes)
         # Whole-number counts, so count / size is what a boolean mean gives.
-        sizes = self._sizes[codes]
+        sizes = sizes[codes]
         return strict[codes] / sizes, weak[codes] / sizes
 
 
@@ -273,7 +307,8 @@ class LogisticCdf(_ThresholdCdf):
             )
         return model, notes
 
-    def _fit(self, threshold, strict, weak) -> tuple:
+    def _fit(self, threshold) -> tuple:
+        strict, weak = indicator_below(self.table.outcomes(), threshold, self.order)
         label = np.asarray(threshold, dtype=float).tolist()
         fits = self._fit_side(strict), self._fit_side(weak)
         for side, (_, notes) in zip(("strict", "weak"), fits):

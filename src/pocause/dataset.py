@@ -26,6 +26,7 @@ from __future__ import annotations
 import csv
 import json
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -167,21 +168,33 @@ class DataTable:
     are part of the table's identity: row subsets (resamples) keep the
     original coding even if they no longer contain every level.
 
+    A table is either a root, loaded or simulated with its columns in
+    hand, or a resample that take() made. A resample records its root and
+    its row indices into the root (a take of a take composes them), and
+    gathers no column until one is read: the first read of any column
+    gathers all of them from the root at once. Every reader sees the
+    arrays an eager gather would give.
+
     A table also carries one stratum index, built the first time
     stratum_index() is called: each row's (x, c) stratum as an intp code,
-    and the code of each distinct (x, c) row. take() gathers the codes with
-    the columns, so a resample inherits its rows' strata instead of sorting
-    again. A table's columns must not change after its index is built.
+    and the code of each distinct (x, c) row. A resample's index is its
+    root's, gathered at its rows. cached() keeps other values derived from
+    a table with it. A table's columns must not change once it has been
+    resampled or has built its index or a cached value.
     """
 
     schema: TableSchema
-    columns: dict[str, np.ndarray]
+    columns: Mapping[str, np.ndarray]
     levels: dict[str, tuple[str, ...]] = field(default_factory=dict)
     source: str | None = None
-    _strata = None  # (codes, lookup) once built; not a dataclass field
+    _root: DataTable | None = field(default=None, init=False, repr=False, compare=False)
+    _rows: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_rows(self) -> int:
+        if self._rows is not None:
+            return int(self._rows.shape[0])
         for col in self.columns.values():
             return int(col.shape[0])
         return 0
@@ -200,42 +213,116 @@ class DataTable:
     def covariates(self) -> np.ndarray:
         return self._matrix(self.schema.covariate_names)
 
+    def origin(self) -> tuple[DataTable, np.ndarray | None]:
+        """The root table this table's rows come from, and their indices
+        into it: the table itself and None, unless take() made it."""
+        if self._root is None:
+            return self, None
+        return self._root, self._rows
+
+    def cached(self, key, build):
+        """The value build() gives for this table, kept under key after the
+        first call asks for it. build must give the same value every time:
+        threads that ask for a new key at once may each build it, and the
+        first value stored is the one every caller gets."""
+        try:
+            return self._cache[key]
+        except KeyError:
+            return self._cache.setdefault(key, build())
+
     def stratum_index(self) -> tuple[np.ndarray, dict[tuple, int]]:
         """Each row's (x, c) stratum code, and the code of each distinct
         (x, c) row, for a table with at least one treatment or covariate.
 
-        One stable sort of the (treatment, covariate) rows numbers the
-        distinct rows 0, 1, ... in sorted order. The lookup is keyed by
+        One stable sort of the root's (treatment, covariate) rows numbers
+        its distinct rows 0, 1, ... in sorted order. The lookup is keyed by
         value, as a tuple of floats, so -0.0 and 0.0 name one stratum. A
-        table made by take() has its parent's lookup and its rows' parent
+        table made by take() has its root's lookup and its rows' root
         codes, so some strata may have no rows in it.
         """
-        if self._strata is None:
-            xc = np.hstack([self.treatments(), self.covariates()])
-            rows = np.lexsort(xc.T)
-            ordered = xc[rows]
-            starts = np.zeros(xc.shape[0], dtype=bool)
-            starts[:1] = True
-            for j in range(xc.shape[1]):
-                starts[1:] |= ordered[1:, j] != ordered[:-1, j]
-            codes = np.empty(xc.shape[0], dtype=np.intp)
-            codes[rows] = np.cumsum(starts) - 1
-            lookup = {tuple(key): code for code, key in enumerate(ordered[starts].tolist())}
-            self._strata = (codes, lookup)
-        return self._strata
+        return self.cached("strata", self._build_stratum_index)
 
-    def take(self, indices) -> "DataTable":
-        idx = np.asarray(indices, dtype=int)
+    def _build_stratum_index(self) -> tuple[np.ndarray, dict[tuple, int]]:
+        if self._root is not None:
+            codes, lookup = self._root.stratum_index()
+            return codes[self._rows], lookup
+        xc = np.hstack([self.treatments(), self.covariates()])
+        rows = np.lexsort(xc.T)
+        ordered = xc[rows]
+        starts = np.zeros(xc.shape[0], dtype=bool)
+        starts[:1] = True
+        for j in range(xc.shape[1]):
+            starts[1:] |= ordered[1:, j] != ordered[:-1, j]
+        codes = np.empty(xc.shape[0], dtype=np.intp)
+        codes[rows] = np.cumsum(starts) - 1
+        lookup = {tuple(key): code for code, key in enumerate(ordered[starts].tolist())}
+        return codes, lookup
+
+    def take(self, indices) -> DataTable:
+        """The table of this table's rows at indices, in that order, repeats
+        allowed: a resample that gathers its columns when one is first read.
+
+        indices must be a 1-d array (or list) of integers, each in
+        0..n_rows-1; anything else, a boolean mask included, raises
+        ConfigError naming the first bad index.
+        """
+        idx = _row_indices(indices, self.n_rows)
+        root, rows = self.origin()
+        if rows is not None:
+            idx = rows[idx]
         out = DataTable(
             schema=self.schema,
-            columns={name: col[idx] for name, col in self.columns.items()},
+            columns=_Gathered(root.columns, idx),
             levels=dict(self.levels),
             source=self.source,
         )
-        if self._strata is not None:
-            codes, lookup = self._strata
-            out._strata = (codes[idx], lookup)
+        out._root, out._rows = root, idx
         return out
+
+
+class _Gathered(Mapping):
+    """A resample's columns: its root's columns at its rows, all gathered
+    the first time any one is read. Names, their order and their count
+    come from the root without a gather."""
+
+    def __init__(self, root_columns: Mapping[str, np.ndarray], rows: np.ndarray):
+        self._root_columns = root_columns
+        self._rows = rows
+        self._columns = None
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        if self._columns is None:
+            self._columns = {n: col[self._rows] for n, col in self._root_columns.items()}
+        return self._columns[name]
+
+    def __iter__(self):
+        return iter(self._root_columns)
+
+    def __len__(self) -> int:
+        return len(self._root_columns)
+
+    def __contains__(self, name) -> bool:
+        return name in self._root_columns
+
+
+def _row_indices(indices, n_rows: int) -> np.ndarray:
+    """indices as a new intp array, once each is known to be a row number
+    in 0..n_rows-1; ConfigError naming the first that is not."""
+    idx = np.asarray(indices)
+    if idx.ndim != 1:
+        raise ConfigError(f"row indices must be a 1-d array, got shape {idx.shape}")
+    if idx.size and idx.dtype.kind not in "iu":
+        raise ConfigError(
+            f"row index {idx[0].item()!r} at position 0 is not an integer "
+            f"(row indices must be integers, got {idx.dtype} values)"
+        )
+    if idx.size and (idx.min() < 0 or idx.max() >= n_rows):
+        i = int(np.flatnonzero((idx < 0) | (idx >= n_rows))[0])
+        raise ConfigError(
+            f"row index {idx[i].item()!r} at position {i} is not a row of a {n_rows}-row table"
+        )
+    # A copy, since the rows are read when a column is first read, not now.
+    return np.array(idx, dtype=np.intp)
 
 
 def _check_delimiter(delimiter) -> None:

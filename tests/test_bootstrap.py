@@ -1,9 +1,13 @@
+import sys
+
 import numpy as np
 import pytest
 
 from pocause import (
     ConfigError,
+    DataTable,
     DegenerateError,
+    EmpiricalCdf,
     EstimatorConfig,
     NoSupportError,
     PoCQuery,
@@ -32,6 +36,32 @@ def test_thread_count_does_not_change_numbers(small_table):
     serial = bootstrap(small_table, _pns_pipeline, n_boot=80, seed=9, threads=1)
     parallel = bootstrap(small_table, _pns_pipeline, n_boot=80, seed=9, threads=6)
     assert serial == parallel
+
+
+def test_threads_racing_to_count_on_a_fresh_root_agree(small_table):
+    """Replicates on more threads than cores, switching often, build the
+    root's cell codes for six thresholds at once: every interval is the one
+    one thread gets."""
+    thresholds = [(y,) for y in (0.5, 1.0, 2.0, 2.5, 3.0, 4.0)]
+
+    def run(threads):
+        root = DataTable(small_table.schema, dict(small_table.columns))
+
+        def pipeline(t):
+            if t is root:  # leaves the root's cell codes to the replicates
+                return [0.5] * len(thresholds)
+            est = EmpiricalCdf(t)
+            return [float(est.rho_pair(y, [(1.0, 0.0)])[1][0]) for y in thresholds]
+
+        return bootstrap(root, pipeline, n_boot=80, seed=3, threads=threads)
+
+    before = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        parallel = run(8)
+    finally:
+        sys.setswitchinterval(before)
+    assert tuple(parallel) == tuple(run(1))
 
 
 def test_replicates_follow_pinned_streams(small_table):

@@ -10,7 +10,9 @@ from pocause import (
     DataTable,
     EmpiricalCdf,
     LogisticCdf,
+    ConfigError,
     NoSupportError,
+    ScalarScore,
     SeparationError,
     SingularError,
     TableSchema,
@@ -213,6 +215,116 @@ def test_a_resample_inherits_its_parents_strata(case, data):
         fresh = EmpiricalCdf(DataTable(table.schema, {k: v[idx] for k, v in columns.items()}))
         for row in present + [tuple(point)]:
             assert _outcome(inherited, threshold, list(row)) == _outcome(fresh, threshold, list(row))
+
+
+def _outcomes(est, threshold, points) -> list:
+    """rho_pair's values at each point as bytes, or its NoSupportError."""
+    out = []
+    for point in points:
+        try:
+            out.append(tuple(v.tobytes() for v in est.rho_pair(threshold, [point])))
+        except NoSupportError as exc:
+            out.append(("NoSupportError", str(exc)))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(_stratified_tables(), st.data())
+def test_a_resample_counts_what_a_fresh_table_of_its_rows_counts(case, data):
+    """EmpiricalCdf on table.take(idx), and on a take of that take, answers
+    bit for bit what it answers on a fresh table of the same rows, or
+    raises the same NoSupportError, under two orders on one root at the
+    same threshold: a lexicographic one and a scalar score. The outcome is
+    two-dimensional, the root's index is built before the first take or
+    not, and the draws include empty ones and ones that empty strata."""
+    _, columns, point, _ = case
+    n = columns["y"].shape[0]
+    columns["y2"] = np.array(data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)), float)
+    names = [name for name in columns if name[0] != "y"]
+    schema = TableSchema(
+        (Variable("y", "outcome", position=0), Variable("y2", "outcome", position=1))
+        + _schema(names).variables[1:]
+    )
+    table = DataTable(schema, columns)
+    if data.draw(st.booleans(), label="index built before take"):
+        table.stratum_index()
+    threshold = tuple(float(t) for t in data.draw(st.tuples(st.integers(0, 5), st.integers(0, 3))))
+    weights = data.draw(st.tuples(st.sampled_from([-1.0, 0.5, 2.0]), st.sampled_from([-1.0, 1.0])))
+    orders = [lexicographic_default(2), ScalarScore(weights)]
+    present = sorted({tuple(row) for row in np.column_stack([columns[m] for m in names]).tolist()})
+    points = present + [tuple(point)]
+
+    def fresh(rows):
+        return DataTable(schema, {k: v[rows] for k, v in columns.items()})
+
+    rows = st.integers(0, max(n - 1, 0))
+    draws = [[]] if n == 0 else [
+        [],
+        data.draw(st.lists(rows, min_size=n, max_size=n)),
+        data.draw(st.lists(st.sampled_from(data.draw(st.lists(rows, min_size=1, max_size=2))),
+                           min_size=1, max_size=n)),
+    ]
+    for idx in draws:
+        idx = np.array(idx, dtype=int)
+        resample = table.take(idx)
+        inner = np.array(data.draw(st.lists(st.integers(0, len(idx) - 1), max_size=2 * n))
+                         if len(idx) else [], dtype=int)
+        again = resample.take(inner)
+        for order in orders:
+            assert _outcomes(EmpiricalCdf(resample, order), threshold, points) == _outcomes(
+                EmpiricalCdf(fresh(idx), order), threshold, points
+            )
+            assert _outcomes(EmpiricalCdf(again, order), threshold, points) == _outcomes(
+                EmpiricalCdf(fresh(idx[inner]), order), threshold, points
+            )
+
+
+class _ReadLog(dict):
+    """A root table's columns, counting every read of their values."""
+
+    reads = 0
+
+    def __getitem__(self, name):
+        self.reads += 1
+        return super().__getitem__(name)
+
+    def items(self):
+        self.reads += 1
+        return super().items()
+
+    def values(self):
+        self.reads += 1
+        return super().values()
+
+
+def test_an_empirical_answer_on_a_resample_reads_no_column(small_table):
+    columns = _ReadLog(small_table.columns)
+    root = DataTable(small_table.schema, columns)
+    EmpiricalCdf(root).rho_pair((3.0,), [(1.0, 0.0)])  # builds the root's index and cells
+    resample = root.take(np.arange(root.n_rows)[::-1])
+    again = resample.take([0, 0, 5])
+    columns.reads = 0
+    for table in (resample, again):
+        EmpiricalCdf(table).rho_pair((3.0,), [(1.0, 0.0)])
+    assert columns.reads == 0
+    assert resample.columns["y"][0] == small_table.columns["y"][-1]
+    assert columns.reads == 1
+
+
+@pytest.mark.parametrize("rows", [None, [0, 1, 2, 3]])
+def test_a_point_without_rows_fails_before_a_bad_threshold(small_table, rows):
+    """Only stratum (0, 0) has rows in the resample; asking for (1, 1) at a
+    threshold of the wrong length raises NoSupportError, as it did when
+    stratum sizes were counted before any threshold was looked at."""
+    table = small_table if rows is None else small_table.take(rows)
+    est = EmpiricalCdf(table)
+    with pytest.raises(NoSupportError, match=r"treatment \[2.0\]"):
+        est.rho_pair((3.0, 1.0), [(0.0, 0.0), (2.0, 0.0)])
+    if rows is not None:
+        with pytest.raises(NoSupportError, match=r"treatment \[1.0\]"):
+            est.rho_pair((3.0, 1.0), [(0.0, 0.0), (1.0, 1.0)])
+    with pytest.raises(ConfigError, match="threshold has 2"):
+        est.rho_pair((3.0, 1.0), [(0.0, 0.0)])
 
 
 @st.composite

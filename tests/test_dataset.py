@@ -1,5 +1,6 @@
 import csv
 import io
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pocause import (
+    ConfigError,
     DataError,
     MissingValueError,
     SchemaError,
@@ -133,6 +135,49 @@ def test_take_keeps_schema_and_levels(write_csv):
     assert sub.n_rows == 2
     assert sub.levels["sex"] == table.levels["sex"]
     np.testing.assert_array_equal(sub.columns["y"], [3.0, 1.0])
+
+
+def _three_rows() -> DataTable:
+    schema = TableSchema((Variable("y", "outcome", position=0), Variable("x", "treatment")))
+    return DataTable(schema, {"y": np.array([1.0, 2.0, 3.0]), "x": np.array([0.0, 1.0, 0.0])})
+
+
+@pytest.mark.parametrize(
+    "indices, first_bad",
+    [
+        ([True, False, True], "True at position 0"),  # a mask, not row numbers
+        (np.array([0.0, 2.0]), "0.0 at position 0"),  # floats are not truncated
+        ([1.5, 0], "1.5 at position 0"),
+        ([0, 2, -1], "-1 at position 2"),  # negative indices do not wrap around
+        ([1, 3, 7], "3 at position 1"),
+        (np.array([0, 2**63], dtype=np.uint64), "9223372036854775808 at position 1"),
+        (["0"], "'0' at position 0"),
+    ],
+)
+def test_take_rejects_what_is_not_a_row_index(indices, first_bad):
+    with pytest.raises(ConfigError, match=re.escape(f"row index {first_bad}")):
+        _three_rows().take(indices)
+
+
+def test_take_of_a_take_checks_against_its_own_rows():
+    """Row 2 of the table is not a row of a two-row resample of it."""
+    resample = _three_rows().take([2, 0])
+    with pytest.raises(ConfigError, match=re.escape("row index 2 at position 0")):
+        resample.take([2])
+    np.testing.assert_array_equal(resample.take([1, 1, 0]).columns["y"], [1.0, 1.0, 3.0])
+
+
+@pytest.mark.parametrize("indices", [0, [[0, 1]]])
+def test_take_needs_a_flat_index_array(indices):
+    with pytest.raises(ConfigError, match="1-d"):
+        _three_rows().take(indices)
+
+
+@pytest.mark.parametrize("indices", [[], np.array([], dtype=np.int32), np.array([], dtype=float)])
+def test_take_of_nothing_is_an_empty_table(indices):
+    empty = _three_rows().take(indices)
+    assert empty.n_rows == 0
+    assert empty.columns["y"].shape == (0,)
 
 
 def test_binarize_outcome_strict_and_weak(small_table):
@@ -363,3 +408,46 @@ def test_save_matches_the_row_writer_across_chunks(tmp_path):
     path = tmp_path / "data.csv"
     save_table(table, path)
     assert path.read_bytes() == _row_writer_bytes(table, ";")
+
+
+def _readers(table, path) -> list:
+    """What every reader of a table sees, as comparable values."""
+    save_table(table, path)
+    return [
+        table.n_rows,
+        list(table.columns),
+        len(table.columns),
+        [(name, col.dtype.str, col.shape, col.tobytes()) for name, col in table.columns.items()],
+        *[(m.shape, m.tobytes()) for m in (table.outcomes(), table.treatments(), table.covariates())],
+        path.read_bytes(),
+    ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rows=st.lists(st.tuples(_FLOATS, _FLOATS, _LEVELS), min_size=1, max_size=8),
+    categorical=st.booleans(),
+    data=st.data(),
+)
+def test_a_resample_reads_as_an_eager_gather(rows, categorical, data, tmp_path_factory):
+    """Whatever reads it first, a table made by take(), or by a take of a
+    take, gives every reader what the eagerly gathered columns give."""
+    y, x, grades = zip(*rows)
+    table = _table(y, x, grades if categorical else None)
+    n = table.n_rows
+    idx = np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n)), dtype=int)
+    inner = np.array(data.draw(st.lists(st.integers(0, max(len(idx) - 1, 0)),
+                                        max_size=2 * n if len(idx) else 0)), dtype=int)
+    work = tmp_path_factory.mktemp("gather")
+    for rows_, make in ((idx, lambda: table.take(idx)),
+                        (idx[inner], lambda: table.take(idx).take(inner))):
+        eager = DataTable(table.schema, {k: v[rows_] for k, v in table.columns.items()},
+                          levels=dict(table.levels))
+        expected = _readers(eager, work / "eager.csv")
+        first = data.draw(st.sampled_from(["save", "column", "matrix"]), label="first reader")
+        resample = make()
+        if first == "column":
+            resample.columns[data.draw(st.sampled_from(list(table.columns)))]
+        elif first == "matrix":
+            resample.covariates()
+        assert _readers(resample, work / "lazy.csv") == expected
