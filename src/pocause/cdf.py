@@ -198,7 +198,9 @@ class EmpiricalCdf(_ThresholdCdf):
     shares them. A table's counts are then one bincount of the codes at
     its rows, or of all of them for the root itself: per stratum, the
     strict, weak and total counts, exact integers. A resample's columns are
-    never read. Asking for a stratum with no rows raises NoSupportError;
+    never read, and a threshold is checked against every root outcome, so
+    a root with a non-finite outcome fails (ConfigError) on each of its
+    resamples, as it does on itself. Asking for a stratum with no rows raises NoSupportError;
     there is no smoothing and no borrowing across strata.
     """
 

@@ -264,7 +264,10 @@ class DataTable:
 
         indices must be a 1-d array (or list) of integers, each in
         0..n_rows-1; anything else, a boolean mask included, raises
-        ConfigError naming the first bad index.
+        ConfigError naming the first bad index. The resample keeps an intp
+        index array as it is, without a copy, and reads it when its columns
+        are gathered, so the array must not change while the resample is in
+        use.
         """
         idx = _row_indices(indices, self.n_rows)
         root, rows = self.origin()
@@ -306,8 +309,8 @@ class _Gathered(Mapping):
 
 
 def _row_indices(indices, n_rows: int) -> np.ndarray:
-    """indices as a new intp array, once each is known to be a row number
-    in 0..n_rows-1; ConfigError naming the first that is not."""
+    """indices as an intp array, once each is known to be a row number in
+    0..n_rows-1; ConfigError naming the first that is not."""
     idx = np.asarray(indices)
     if idx.ndim != 1:
         raise ConfigError(f"row indices must be a 1-d array, got shape {idx.shape}")
@@ -321,8 +324,7 @@ def _row_indices(indices, n_rows: int) -> np.ndarray:
         raise ConfigError(
             f"row index {idx[i].item()!r} at position {i} is not a row of a {n_rows}-row table"
         )
-    # A copy, since the rows are read when a column is first read, not now.
-    return np.array(idx, dtype=np.intp)
+    return idx.astype(np.intp, copy=False)
 
 
 def _check_delimiter(delimiter) -> None:
