@@ -21,12 +21,17 @@ The logistic solver is iteratively reweighted least squares written here on
 purpose: its convergence rule, ridge behavior, and failure modes are part
 of this package's contract, and an external GLM would make the bootstrap's
 failure accounting opaque. Fits are deterministic: same inputs, same model,
-bit for bit.
+bit for bit, whatever the BLAS thread count, since every sum over rows runs
+in fixed row blocks small enough for BLAS to keep on one thread. Both
+estimators keep what they derive from a table's rows with its root table,
+so an estimator on a resample reads none of the resample's columns.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -37,6 +42,7 @@ from .ordering import OrderSpec, indicator_below, lexicographic_default
 RIDGE_FALLBACK = 1e-6
 IRLS_TOL = 1e-8
 IRLS_MAX_ITER = 100
+_BLOCK_ROWS = 8192  # rows per IRLS block: each block's BLAS calls stay small and in cache
 
 
 @dataclass(frozen=True)
@@ -72,6 +78,12 @@ def fit_logistic(features, labels, *, ridge: float = 0.0) -> LogisticModel:
     log-likelihood. Convergence is a sup-norm gradient test at IRLS_TOL,
     within IRLS_MAX_ITER Newton steps.
 
+    Each step sums the gradient and the Hessian over blocks of _BLOCK_ROWS
+    rows, in row order, so the fit is the same bit for bit whatever the
+    BLAS thread count, and no temporary spans every row but one
+    probability per row. A table of at most one block is summed by one
+    product each.
+
     Raises SeparationError when the labels are all 0 or all 1 (the MLE
     intercept is infinite, ridge or not) and when the iterates walk off to
     a perfectly separating hyperplane. Raises SingularError when the
@@ -98,6 +110,12 @@ def fit_logistic(features, labels, *, ridge: float = 0.0) -> LogisticModel:
 
     n, p = X.shape
     design = np.hstack([np.ones((n, 1)), X])
+    # Row blocks of the design and labels; a table of at most one block
+    # (and an empty one) is a single block of every row.
+    blocks = [
+        (design[start : start + _BLOCK_ROWS], y[start : start + _BLOCK_ROWS])
+        for start in range(0, max(n, 1), _BLOCK_ROWS)
+    ]
     penalty = np.zeros(p + 1)
     penalty[1:] = ridge
     penalty_matrix = np.diag(penalty)
@@ -106,16 +124,25 @@ def fit_logistic(features, labels, *, ridge: float = 0.0) -> LogisticModel:
     beta[0] = float(np.log(mean_y / (1.0 - mean_y)))
 
     # n_iter counts the Newton steps taken; the gradient is tested once
-    # more after the last allowed step.
+    # more after the last allowed step. Each sum over blocks starts from the
+    # first block's term, not from 0 (0 + -0.0 is 0.0), so one block gives
+    # the unblocked statements' bits.
     for n_iter in range(IRLS_MAX_ITER + 1):
-        eta = design @ beta
-        prob = _sigmoid(eta)
-        grad = design.T @ (y - prob) - penalty * beta
+        probs = [_sigmoid(block @ beta) for block, _ in blocks]
+        grad = reduce(
+            operator.add,
+            (block.T @ (labels - prob) for (block, labels), prob in zip(blocks, probs)),
+        ) - penalty * beta
         converged = float(np.max(np.abs(grad))) <= IRLS_TOL
         if converged or n_iter == IRLS_MAX_ITER:
             break
-        w = prob * (1.0 - prob)
-        hess = design.T @ (design * w[:, None]) + penalty_matrix
+        hess = reduce(
+            operator.add,
+            (
+                block.T @ (block * (prob * (1.0 - prob))[:, None])
+                for (block, _), prob in zip(blocks, probs)
+            ),
+        ) + penalty_matrix
         try:
             step = np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError as exc:
@@ -128,7 +155,7 @@ def fit_logistic(features, labels, *, ridge: float = 0.0) -> LogisticModel:
                 "IRLS iterates diverged; labels look perfectly separated"
             )
 
-    if not converged and float(np.max(prob * (1.0 - prob))) < 1e-12:
+    if not converged and max(float(np.max(prob * (1.0 - prob))) for prob in probs) < 1e-12:
         raise SeparationError(
             f"no convergence in {IRLS_MAX_ITER} iterations and all fitted "
             "probabilities are saturated; labels look perfectly separated"
@@ -161,9 +188,14 @@ class _ThresholdCdf:
         self._n_c = len(table.schema.covariate_names)
         if self._n_x + self._n_c == 0:
             raise ConfigError("table has neither treatment nor covariate columns")
+        self._root, self._rows = table.origin()
         self._by_threshold: dict[tuple, tuple] = {}
         self.clip_count = 0
         self.diagnostics: list[str] = []
+
+    def _at_rows(self, values: np.ndarray) -> np.ndarray:
+        """values, one per root row, at this table's rows."""
+        return values if self._rows is None else values[self._rows]
 
     def _points(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
@@ -206,7 +238,6 @@ class EmpiricalCdf(_ThresholdCdf):
 
     def __init__(self, table: DataTable, order: OrderSpec | None = None):
         super().__init__(table, order)
-        self._root, self._rows = table.origin()
         self._lookup = self._root.stratum_index()[1]
 
     def _cells(self, threshold) -> np.ndarray:
@@ -222,9 +253,8 @@ class EmpiricalCdf(_ThresholdCdf):
 
     def _fit(self, threshold) -> tuple:
         """The strict, weak and total counts in each stratum."""
-        cells = self._cells(threshold)
         counts = np.bincount(
-            cells if self._rows is None else cells[self._rows], minlength=4 * len(self._lookup)
+            self._at_rows(self._cells(threshold)), minlength=4 * len(self._lookup)
         ).reshape(-1, 4)
         return counts[:, 2] + counts[:, 3], counts[:, 1] + counts[:, 3], counts.sum(axis=1)
 
@@ -275,11 +305,22 @@ class LogisticCdf(_ThresholdCdf):
     written for each side the column serves. Where the two fits put strict
     above weak, strict is pulled down to weak and clip_count counts the
     point.
+
+    The root table keeps the (x, c) feature matrix and, for each order and
+    threshold, the strict and weak indicator columns (DataTable.cached); an
+    estimator on a resample take() made gathers them at its rows and reads
+    none of the resample's columns. So a root with a non-finite outcome
+    fails (ConfigError) on each of its resamples, as EmpiricalCdf does,
+    while a non-finite feature fails only a table whose rows include it,
+    and only where a fit is needed: a constant indicator column needs none.
     """
 
     def __init__(self, table: DataTable, order: OrderSpec | None = None, *, ridge: float = 0.0):
         super().__init__(table, order)
-        self._xc = np.hstack([table.treatments(), table.covariates()])
+        root = self._root
+        self._xc = self._at_rows(
+            root.cached("features", lambda: np.hstack([root.treatments(), root.covariates()]))
+        )
         self.ridge = float(ridge)
         self._by_column: dict[bytes, tuple] = {}
 
@@ -310,7 +351,14 @@ class LogisticCdf(_ThresholdCdf):
         return model, notes
 
     def _fit(self, threshold) -> tuple:
-        strict, weak = indicator_below(self.table.outcomes(), threshold, self.order)
+        root = self._root
+        strict, weak = (
+            self._at_rows(below)
+            for below in root.cached(
+                ("indicators", self.order, *_threshold_key(threshold)),
+                lambda: indicator_below(root.outcomes(), threshold, self.order),
+            )
+        )
         label = np.asarray(threshold, dtype=float).tolist()
         fits = self._fit_side(strict), self._fit_side(weak)
         for side, (_, notes) in zip(("strict", "weak"), fits):

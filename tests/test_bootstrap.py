@@ -9,8 +9,11 @@ from pocause import (
     DegenerateError,
     EmpiricalCdf,
     EstimatorConfig,
+    LogisticCdf,
     NoSupportError,
     PoCQuery,
+    TableSchema,
+    Variable,
     bootstrap,
     derived_rng,
     evaluate_query,
@@ -63,6 +66,38 @@ def test_threads_racing_to_count_on_a_fresh_root_agree(small_table):
         sys.setswitchinterval(before)
     assert tuple(parallel) == tuple(run(1))
 
+
+
+def test_threads_racing_on_a_fresh_roots_logistic_cache_agree():
+    """Logistic replicates on more threads than cores, switching often,
+    build the root's feature matrix and five thresholds' indicators at
+    once: every interval is the one one thread gets."""
+    rng = np.random.default_rng(12)
+    x = rng.integers(0, 3, 300).astype(float)
+    c = rng.integers(0, 2, 300).astype(float)
+    schema = TableSchema((Variable("y", "outcome", position=0), Variable("x", "treatment"),
+                          Variable("c", "covariate")))
+    columns = {"y": x + c + rng.normal(size=300), "x": x, "c": c}
+    thresholds = [(y,) for y in (0.0, 0.5, 1.0, 2.0, 3.0)]
+
+    def run(threads):
+        root = DataTable(schema, dict(columns))
+
+        def pipeline(t):
+            if t is root:  # leaves the root's cache to the replicates
+                return [0.5] * len(thresholds)
+            est = LogisticCdf(t)
+            return [float(est.rho_pair(y, [(1.0, 0.0)])[1][0]) for y in thresholds]
+
+        return bootstrap(root, pipeline, n_boot=60, seed=3, threads=threads)
+
+    before = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        parallel = run(8)
+    finally:
+        sys.setswitchinterval(before)
+    assert tuple(parallel) == tuple(run(1))
 
 def test_replicates_follow_pinned_streams(small_table):
     """Replicate b resamples with its own derived stream, so the whole run

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -101,6 +105,199 @@ def test_ridge_shrinks_slopes_not_intercept():
     # The intercept is never penalized, so it still tracks the base rate.
     base = math.log(y.mean() / (1 - y.mean()))
     assert abs(tight.intercept - base) < 0.2
+
+
+def _unblocked_fit(features, labels, *, ridge=0.0):
+    """fit_logistic's Newton loop as it was before it ran in row blocks,
+    kept as its reference: each sum over rows is one product over the whole
+    table. Inputs are taken as valid."""
+    X = np.asarray(features, dtype=float)
+    y = np.asarray(labels, dtype=float).ravel()
+    mean_y = float(y.mean())
+    if mean_y == 0.0 or mean_y == 1.0:
+        raise SeparationError(
+            f"labels are constant ({int(mean_y)}); no finite intercept exists"
+        )
+    n, p = X.shape
+    design = np.hstack([np.ones((n, 1)), X])
+    penalty = np.zeros(p + 1)
+    penalty[1:] = ridge
+    penalty_matrix = np.diag(penalty)
+    beta = np.zeros(p + 1)
+    beta[0] = float(np.log(mean_y / (1.0 - mean_y)))
+    for n_iter in range(cdf.IRLS_MAX_ITER + 1):
+        eta = design @ beta
+        prob = cdf._sigmoid(eta)
+        grad = design.T @ (y - prob) - penalty * beta
+        converged = float(np.max(np.abs(grad))) <= cdf.IRLS_TOL
+        if converged or n_iter == cdf.IRLS_MAX_ITER:
+            break
+        w = prob * (1.0 - prob)
+        hess = design.T @ (design * w[:, None]) + penalty_matrix
+        try:
+            step = np.linalg.solve(hess, grad)
+        except np.linalg.LinAlgError as exc:
+            raise SingularError(
+                f"IRLS normal equations singular at iteration {n_iter + 1}"
+            ) from exc
+        beta = beta + step
+        if float(np.max(np.abs(beta))) > 1e8:
+            raise SeparationError(
+                "IRLS iterates diverged; labels look perfectly separated"
+            )
+    if not converged and float(np.max(prob * (1.0 - prob))) < 1e-12:
+        raise SeparationError(
+            f"no convergence in {cdf.IRLS_MAX_ITER} iterations and all fitted "
+            "probabilities are saturated; labels look perfectly separated"
+        )
+    return cdf.LogisticModel(beta[1:].copy(), float(beta[0]), converged, n_iter, float(ridge))
+
+
+def _fit_outcome(fit, x, y, ridge):
+    """A fit's model, or its SeparationError or SingularError as its class
+    and message."""
+    try:
+        return fit(x, y, ridge=ridge)
+    except (SeparationError, SingularError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _separated(k, n=20):
+    """Labels split perfectly at 0 by a feature of size k."""
+    x = np.concatenate([np.full(n, -k), np.full(n, k)]).reshape(-1, 1)
+    return x, (x[:, 0] > 0).astype(float)
+
+
+# (features, labels, ridge, iteration cap) that reach each way out of the
+# loop: convergence, the cap, divergence, saturation, a singular system.
+_FIT_CASES = {
+    "converges": lambda rng: (*_logistic_sample(rng, 300, 3), 0.0, None),
+    "ridge": lambda rng: (*_logistic_sample(rng, 300, 2), 0.5, None),
+    "capped": lambda rng: (*_logistic_sample(rng, 300, 3), 0.0, 2),
+    "no steps": lambda rng: (*_logistic_sample(rng, 50, 1), 0.0, 0),
+    "diverges": lambda rng: (*_separated(1e-9), 0.0, None),
+    "ridge fallback": lambda rng: (*_separated(1e-9), cdf.RIDGE_FALLBACK, None),
+    "separated, converges": lambda rng: (*_separated(1.0), 0.0, None),
+    "saturates": lambda rng: (*_separated(1e4), 0.0, 30),
+    "saturates after its first rows": lambda rng: (
+        np.r_[np.zeros((4, 1)), _separated(1e4)[0]], np.r_[0.0, 1.0, 0.0, 1.0, _separated(1e4)[1]],
+        0.0, 30,
+    ),
+    "singular, zero column": lambda rng: (np.c_[rng.normal(size=40), np.zeros(40)],
+                                          (rng.random(40) < 0.5).astype(float), 0.0, None),
+    "singular, equal columns": lambda rng: (np.repeat(rng.normal(size=(40, 1)), 2, axis=1),
+                                            (rng.random(40) < 0.5).astype(float), 0.0, None),
+}
+# Which Newton step finds two equal columns' normal equations exactly
+# singular depends on rounding, in the unblocked loop too (at 16-row blocks
+# the first step does, unblocked the second), so that case is compared in
+# one block only.
+_MANY_BLOCK_CASES = sorted(set(_FIT_CASES) - {"singular, equal columns"})
+
+
+def _logistic_sample(rng, n, p):
+    x = rng.normal(size=(n, p))
+    return x, (rng.random(n) < 1 / (1 + np.exp(-(0.3 + x @ rng.normal(size=p))))).astype(float)
+
+
+@pytest.mark.parametrize("case", sorted(_FIT_CASES))
+def test_a_one_block_fit_is_the_unblocked_fit_bit_for_bit(case, monkeypatch):
+    """A table of at most _BLOCK_ROWS rows is one block, so the blocked loop
+    runs the unblocked statements: same coefficient and intercept bits, the
+    same n_iter and converged, and the same errors."""
+    x, y, ridge, cap = _FIT_CASES[case](np.random.default_rng(7))
+    if cap is not None:
+        monkeypatch.setattr(cdf, "IRLS_MAX_ITER", cap)
+    got, want = _fit_outcome(fit_logistic, x, y, ridge), _fit_outcome(_unblocked_fit, x, y, ridge)
+    assert x.shape[0] <= cdf._BLOCK_ROWS
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert got.coefficients.tobytes() == want.coefficients.tobytes()
+    assert (np.float64(got.intercept).tobytes(), got.n_iter, got.converged) == (
+        np.float64(want.intercept).tobytes(), want.n_iter, want.converged
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 200),
+    p=st.integers(1, 3),
+    ridge=st.sampled_from([0.0, 1e-6, 0.5]),
+    cap=st.sampled_from([0, 1, 3, cdf.IRLS_MAX_ITER]),
+    scale=st.sampled_from([0.5, 3.0, 50.0]),
+)
+def test_one_block_fits_match_the_unblocked_fit(seed, n, p, ridge, cap, scale):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, p)) * np.where(rng.random(p) < 0.3, 0.0, 1.0)
+    y = (rng.random(n) < 1 / (1 + np.exp(-scale * (x @ rng.normal(size=p))))).astype(float)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cdf, "IRLS_MAX_ITER", cap)
+        got, want = _fit_outcome(fit_logistic, x, y, ridge), _fit_outcome(_unblocked_fit, x, y, ridge)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert (got.coefficients.tobytes(), got.intercept, got.n_iter, got.converged) == (
+        want.coefficients.tobytes(), want.intercept, want.n_iter, want.converged
+    )
+
+
+def test_a_full_block_is_one_block():
+    x, y = _logistic_sample(np.random.default_rng(8), cdf._BLOCK_ROWS, 2)
+    got, want = fit_logistic(x, y), _unblocked_fit(x, y)
+    assert got.coefficients.tobytes() == want.coefficients.tobytes()
+    assert (got.intercept, got.n_iter) == (want.intercept, want.n_iter)
+
+
+@pytest.mark.parametrize("block_rows", [1, 7, 16])
+@pytest.mark.parametrize("case", _MANY_BLOCK_CASES)
+def test_a_many_block_fit_agrees_with_the_unblocked_fit(case, block_rows, monkeypatch):
+    """With small blocks, which the fit's probabilities show it used, the
+    sums add up in another order: the models agree to rounding, relative to
+    their largest entry, with the same n_iter and converged, and the same
+    errors."""
+    x, y, ridge, cap = _FIT_CASES[case](np.random.default_rng(7))
+    if cap is not None:
+        monkeypatch.setattr(cdf, "IRLS_MAX_ITER", cap)
+    want = _fit_outcome(_unblocked_fit, x, y, ridge)
+    sizes, sigmoid = [], cdf._sigmoid
+    monkeypatch.setattr(cdf, "_BLOCK_ROWS", block_rows)
+    monkeypatch.setattr(cdf, "_sigmoid", lambda eta: sizes.append(eta.size) or sigmoid(eta))
+    got = _fit_outcome(fit_logistic, x, y, ridge)
+    assert max(sizes) == block_rows < x.shape[0]
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert (got.n_iter, got.converged) == (want.n_iter, want.converged)
+    got, want = np.r_[got.intercept, got.coefficients], np.r_[want.intercept, want.coefficients]
+    assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+_BLAS_FIT = """
+import numpy as np
+from pocause import fit_logistic
+rng = np.random.default_rng(19)
+x = rng.normal(size=(200_000, 2))
+y = (rng.random(200_000) < 1 / (1 + np.exp(-(0.3 + x @ [1.0, -0.5])))).astype(float)
+model = fit_logistic(x, y)
+print(model.coefficients.tobytes().hex(), np.float64(model.intercept).tobytes().hex(), model.n_iter)
+"""
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one CPU: OpenBLAS runs one thread anyway")
+def test_a_large_fit_does_not_depend_on_the_blas_thread_count():
+    """A 200k-row fit gives the same bits with OpenBLAS on one thread as on
+    its default thread count, each in a child process of its own."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    src = str(Path(cdf.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    outs = [
+        subprocess.run([sys.executable, "-c", _BLAS_FIT], env=child, capture_output=True,
+                       text=True, check=True).stdout
+        for child in (env, {**env, "OPENBLAS_NUM_THREADS": "1"})
+    ]
+    assert outs[0] and outs[0] == outs[1]
 
 
 def test_empirical_rho_matches_hand_counts(small_table):
@@ -620,6 +817,110 @@ def test_the_column_cache_answers_as_a_refit_would(columns, thresholds, max_iter
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cdf, "IRLS_MAX_ITER", max_iter)
         _check_column_cache(DataTable(schema, columns), [((t,), points) for t in thresholds])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(4, 40),
+    thresholds=st.lists(st.tuples(st.sampled_from([-1.0, 1.0, 2.0, 2.5, 9.0]),
+                                  st.sampled_from([0.0, 1.0, 2.0])), min_size=1, max_size=4),
+    block_rows=st.sampled_from([5, cdf._BLOCK_ROWS]),
+    data=st.data(),
+)
+def test_a_logistic_resample_answers_what_a_fresh_table_of_its_rows_answers(
+    seed, n, thresholds, block_rows, data
+):
+    """LogisticCdf on table.take(idx), and on a take of that take, answers
+    bit for bit what it answers on a fresh table of the same rows, with the
+    same clip_count and diagnostics, or raises the same error, under a
+    lexicographic and a scalar-score order on one root. The root's cached
+    features and indicators are built before the first take or not, and
+    the fits run in one block or in several."""
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, 3, n).astype(float)
+    c = rng.integers(0, 2, n).astype(float)
+    columns = {"y": np.clip(np.round(x + c + rng.normal(0, 1, n)), 0, 4),
+               "y2": rng.integers(0, 3, n).astype(float), "x": x, "c": c}
+    schema = TableSchema((Variable("y", "outcome", position=0),
+                          Variable("y2", "outcome", position=1),
+                          Variable("x", "treatment"), Variable("c", "covariate")))
+    table = DataTable(schema, columns)
+    orders = [lexicographic_default(2), ScalarScore((1.0, -0.5))]
+    points = [(x, c) for x in (0.0, 2.0) for c in (0.0, 1.0)]
+    asks = [(t, points) for t in thresholds]
+
+    def fresh(rows):
+        return DataTable(schema, {k: v[rows] for k, v in columns.items()})
+
+    rows = st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n)
+    idx = np.array(data.draw(rows), dtype=int)
+    inner = np.array(data.draw(st.lists(st.integers(0, len(idx) - 1), min_size=1,
+                                        max_size=2 * n)), dtype=int)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cdf, "_BLOCK_ROWS", block_rows)
+        if data.draw(st.booleans(), label="root cache built before take"):
+            for order in orders:
+                _answers(LogisticCdf(table, order), asks)
+        resample = table.take(idx)
+        again = resample.take(inner)
+        for order in orders:
+            assert _answers(LogisticCdf(resample, order), asks) == _answers(
+                LogisticCdf(fresh(idx), order), asks
+            )
+            assert _answers(LogisticCdf(again, order), asks) == _answers(
+                LogisticCdf(fresh(idx[inner]), order), asks
+            )
+
+
+def test_a_logistic_answer_on_a_resample_reads_no_column(small_table):
+    columns = _ReadLog(small_table.columns)
+    root = DataTable(small_table.schema, columns)
+    est = LogisticCdf(root)
+    for threshold in ((3.0,), (9.0,)):  # caches the root's features and indicators
+        est.rho_pair(threshold, [(1.0, 0.0)])
+    resample = root.take(np.arange(root.n_rows)[::-1])
+    again = resample.take([0, 0, 5, 9, 12, 3])
+    columns.reads = 0
+    for table in (resample, again):
+        est = LogisticCdf(table)
+        est.rho_pair((3.0,), [(1.0, 0.0)])
+        est.rho_pair((9.0,), [(1.0, 0.0)])
+    assert columns.reads == 0
+    assert resample.columns["y"][0] == small_table.columns["y"][-1]
+    assert columns.reads == 1
+
+
+def _one_treatment_table(y, x):
+    schema = TableSchema((Variable("y", "outcome", position=0), Variable("x", "treatment")))
+    return DataTable(schema, {"y": np.asarray(y, float), "x": np.asarray(x, float)})
+
+
+def test_a_non_finite_outcome_fails_every_logistic_resample():
+    """The indicators come from the root's outcomes, so a root with a
+    non-finite outcome fails on each resample, one that misses that row
+    included, as EmpiricalCdf does."""
+    y = np.arange(20.0)
+    y[0] = np.nan
+    root = _one_treatment_table(y, np.arange(20.0) % 2)
+    for table in (root, root.take(np.arange(1, 20)), root.take([3, 4, 5]).take([0, 2])):
+        with pytest.raises(ConfigError, match="outcome rows must be finite"):
+            LogisticCdf(table).rho_pair((5.0,), [(0.0,)])
+
+
+def test_non_finite_features_fail_only_where_a_fit_needs_them():
+    x = np.arange(20.0) % 2
+    x[3] = np.inf
+    root = _one_treatment_table(np.arange(20.0), x)
+    est = LogisticCdf(root)
+    # A constant indicator column needs no fit, and so reads no feature.
+    assert est.rho_pair((-1.0,), [(0.0,)])[1][0] == 0.0
+    with pytest.raises(ConfigError, match="features must be finite"):
+        est.rho_pair((5.0,), [(0.0,)])
+    with pytest.raises(ConfigError, match="features must be finite"):
+        LogisticCdf(root.take([2, 3, 7, 8])).rho_pair((5.0,), [(0.0,)])
+    (strict,), (weak,) = LogisticCdf(root.take([2, 4, 7, 8, 11])).rho_pair((5.0,), [(0.0,)])
+    assert 0.0 < strict <= weak < 1.0
 
 
 def test_order_defaults_to_first_component_ascending(small_table):

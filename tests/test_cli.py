@@ -4,6 +4,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from pocause import cdf
 from pocause.cli import main
 
 SMALL_CSV = "\n".join(
@@ -265,6 +266,27 @@ def test_simulate_estimate_round_trip(tmp_path, capsys):
     # Coarse truth check; the acceptance suite pins this down tightly.
     assert 0.4 < report["estimate"]["value"] < 0.7
 
+
+
+def test_a_many_block_logistic_estimate_does_not_depend_on_threads(tmp_path, capsys, monkeypatch):
+    """With 256-row IRLS blocks a 3,000-row table fits in 12 blocks; its
+    bootstrapped logistic report is byte-identical at 1 and 4 threads."""
+    monkeypatch.setattr(cdf, "_BLOCK_ROWS", 256)
+    csv, schema = tmp_path / "sim.csv", tmp_path / "sim.schema.json"
+    assert main(["simulate", "--spec", "additive_scalar", "--n", "3000", "--seed", "6",
+                 "--out", str(csv), "--schema-out", str(schema)]) == 0
+    query = tmp_path / "query.json"
+    query.write_text(json.dumps({"kind": "pns", "threshold": [0.8], "x0": [0.0], "x1": [1.5]}),
+                     encoding="utf-8")
+    reports = []
+    for threads in (1, 4):
+        out = tmp_path / f"report_{threads}.json"
+        assert main(["estimate", "--data", str(csv), "--schema", str(schema), "--query", str(query),
+                     "--estimator", "logistic", "--bootstrap", "40", "--seed", "2",
+                     "--threads", str(threads), "--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    capsys.readouterr()
+    assert reports[0] == reports[1]
 
 def test_trajectories_writes_the_curve_file(tmp_path, capsys):
     out = tmp_path / "curves.csv"
