@@ -80,9 +80,9 @@ def fit_logistic(features, labels, *, ridge: float = 0.0) -> LogisticModel:
 
     Each step sums the gradient and the Hessian over blocks of _BLOCK_ROWS
     rows, in row order, so the fit is the same bit for bit whatever the
-    BLAS thread count, and no temporary spans every row but one
-    probability per row. A table of at most one block is summed by one
-    product each.
+    BLAS thread count; apart from the design matrix, a step keeps no array
+    over every row but the probabilities. A table of at most one block is
+    summed by one product each.
 
     Raises SeparationError when the labels are all 0 or all 1 (the MLE
     intercept is infinite, ridge or not) and when the iterates walk off to
@@ -125,8 +125,8 @@ def fit_logistic(features, labels, *, ridge: float = 0.0) -> LogisticModel:
 
     # n_iter counts the Newton steps taken; the gradient is tested once
     # more after the last allowed step. Each sum over blocks starts from the
-    # first block's term, not from 0 (0 + -0.0 is 0.0), so one block gives
-    # the unblocked statements' bits.
+    # first block's term, not from 0 (0 + -0.0 is 0.0), so the sum over one
+    # block is that block's product, bit for bit.
     for n_iter in range(IRLS_MAX_ITER + 1):
         probs = [_sigmoid(block @ beta) for block, _ in blocks]
         grad = reduce(
