@@ -195,7 +195,7 @@ class _ThresholdCdf:
 
     def _at_rows(self, values: np.ndarray) -> np.ndarray:
         """values, one per root row, at this table's rows."""
-        return values if self._rows is None else values[self._rows]
+        return values if self._rows is None else np.take(values, self._rows, axis=0)
 
     def _points(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=float)

@@ -327,6 +327,20 @@ def _row_indices(indices, n_rows: int) -> np.ndarray:
     return idx.astype(np.intp, copy=False)
 
 
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a 2-d array and each row's index among them, in
+    np.unique(rows, axis=0)'s order (first column primary), by one stable
+    sort. Rows equal by value are one row, -0.0 and 0.0 included; the first
+    of them in row order stands for the rest."""
+    rows_sorted = np.lexsort(rows.T[::-1])
+    ordered = rows[rows_sorted]
+    starts = np.ones(rows.shape[0], dtype=bool)
+    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(rows.shape[0], dtype=np.intp)
+    inverse[rows_sorted] = np.cumsum(starts) - 1
+    return ordered[starts], inverse
+
+
 def _check_delimiter(delimiter) -> None:
     """Reject a delimiter the csv module cannot use, before any file is opened."""
     try:

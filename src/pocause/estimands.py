@@ -32,7 +32,7 @@ import numpy as np
 
 from .bootstrap import RECOVERABLE, BootstrapResult, bootstrap, interval_settings
 from .cdf import EmpiricalCdf, LogisticCdf
-from .dataset import DataTable, _read_json
+from .dataset import DataTable, _distinct_rows, _read_json
 from .errors import ConfigError, NotIdentifiedError, as_float, as_index
 from .ordering import OrderSpec, order_from_dict
 
@@ -578,13 +578,9 @@ def _average_pns(estimator, table: DataTable, query: PoCQuery) -> PoCEstimate:
         profiles = np.empty((1, 0))
         weights = np.array([1.0])
     else:
-        # The distinct rows in np.unique's (lexicographic) order, by one
-        # stable sort; the cumsum below depends on that order.
-        ordered = cov[np.lexsort(cov.T[::-1])]
-        starts = np.ones(ordered.shape[0], dtype=bool)
-        starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-        profiles = ordered[starts]
-        counts = np.diff(np.append(np.flatnonzero(starts), ordered.shape[0]))
+        # The cumsum below depends on the profiles' (lexicographic) order.
+        profiles, inverse = _distinct_rows(cov)
+        counts = np.bincount(inverse)
         weights = counts / counts.sum()
 
     upper, lower, _, notes = _gather(estimator, query, profiles)

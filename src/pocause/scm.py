@@ -33,7 +33,7 @@ from itertools import chain, combinations
 import numpy as np
 
 from .bootstrap import derived_rng
-from .dataset import DataTable, TableSchema, Variable, _read_json
+from .dataset import DataTable, TableSchema, Variable, _distinct_rows, _read_json
 from .errors import ConfigError, NoSupportError, PocError, as_float
 from .estimands import EstimatorConfig, Evidence, PoCQuery, estimate_with_interval, evaluate_query
 from .ordering import (
@@ -244,15 +244,20 @@ class TabularMean(_Piece):
         return self.levels.shape[0]
 
     def outcome(self, X: np.ndarray, C: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """The level row of each latent u. X and C are each row-aligned
+        with u or one row for every latent; when both are one row, a single
+        cut row is searched, with no per-row match or mask."""
         ix = _match_rows(X, self.x_levels, "treatment")
         ic = _match_rows(C, self.c_levels, "covariate")
+        n_c = self.c_levels.shape[0]
+        cell = ix * n_c + ic
+        if cell.size == 1:
+            return self.levels[np.searchsorted(self.cuts[ix[0], ic[0]], u, side="right")]
         state = np.empty(len(u), dtype=int)
-        cell = ix * self.c_levels.shape[0] + ic
-        for cell_id in np.unique(cell):
+        for cell_id in np.flatnonzero(np.bincount(cell)):
             mask = cell == cell_id
-            row = self.cuts[cell_id // self.c_levels.shape[0],
-                            cell_id % self.c_levels.shape[0]]
-            state[mask] = np.searchsorted(row, u[mask], side="right")
+            state[mask] = np.searchsorted(self.cuts[cell_id // n_c, cell_id % n_c], u[mask],
+                                          side="right")
         return self.levels[state]
 
     def state_probs(self, x, c) -> np.ndarray:
@@ -386,13 +391,15 @@ class TreatmentPolicy(_Piece):
         return w / w.sum()
 
     def sample(self, C: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """One support row per data row; one uniform per row, in row order."""
+        """One support row per data row; one uniform per row, in row order.
+        Each distinct covariate row's probabilities are computed once, with
+        the rows grouped by one stable sort rather than by np.unique."""
         u = rng.random(C.shape[0])
         eta = self.logits[None, :]
         if C.shape[1] == 0 or self.covariate_logits is None:
             inv = 0
         else:
-            profiles, inv = np.unique(C, axis=0, return_inverse=True)
+            profiles, inv = _distinct_rows(C)
             eta = eta + (self.covariate_logits @ profiles[:, :, None])[:, :, 0]
         # probabilities(c) for every profile at once, row by row, to the bit.
         w = np.exp(eta - eta.max(axis=1, keepdims=True))
@@ -520,13 +527,23 @@ class ScmSpec(_Piece):
         return self.order if self.order is not None else lexicographic_default(self.n_outcomes)
 
     def outcomes(self, X: np.ndarray, C: np.ndarray, U: np.ndarray) -> np.ndarray:
-        """Structural response for row-aligned treatments, covariates, latents."""
+        """Structural response at each latent row of U. X and C are each
+        row-aligned with U or one row for every latent.
+
+        A tabular mechanism reads one cut row when X and C are both one
+        row. A linear one broadcasts them to U's rows first: a one-row
+        product can differ in the last bit from the same row's product in
+        an n-row one.
+        """
         X = np.asarray(X, dtype=float)
         C = np.asarray(C, dtype=float)
         U = np.asarray(U, dtype=float)
         if isinstance(self.mean, TabularMean):
             u_eff = self.coupling.u_transform(X, U[:, 0])
             return self.mean.outcome(X, C, u_eff)
+        n = U.shape[0]
+        X = np.broadcast_to(X, (n, X.shape[1]))
+        C = np.broadcast_to(C, (n, C.shape[1]))
         mu = self.mean.value(X, C)
         return mu + self.coupling.sign(X)[:, None] * U
 
@@ -695,12 +712,10 @@ def _latents(spec: ScmSpec, n, seed: int, stream: int) -> np.ndarray:
 
 
 def _outcomes_at(spec: ScmSpec, x, c, U: np.ndarray) -> np.ndarray:
-    """Y(x) at covariates c for every latent row of U."""
-    n = U.shape[0]
-    x_arr = np.asarray(x, dtype=float).ravel()
-    c_arr = np.asarray(c, dtype=float).ravel()
+    """Y(x) at covariates c for every latent row of U, with x and c passed
+    as one row each, so a tabular mechanism searches one cut row."""
     return spec.outcomes(
-        np.broadcast_to(x_arr, (n, x_arr.size)), np.broadcast_to(c_arr, (n, c_arr.size)), U
+        np.asarray(x, dtype=float).reshape(1, -1), np.asarray(c, dtype=float).reshape(1, -1), U
     )
 
 

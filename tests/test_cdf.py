@@ -873,6 +873,32 @@ def test_a_logistic_resample_answers_what_a_fresh_table_of_its_rows_answers(
             )
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30), data=st.data())
+def test_a_resamples_logistic_features_are_a_fresh_tables_bytes(seed, n, data):
+    """The feature matrix LogisticCdf gathers from its root at a resample's
+    rows, and at a take of that take, has the bytes, shape and layout of
+    the one a fresh table of those rows builds, -0.0 and nan included."""
+    rng = np.random.default_rng(seed)
+    columns = {"y": rng.integers(0, 3, n).astype(float),
+               "x1": rng.choice([-1.0, -0.0, 0.0, 2.5], n),
+               "x2": rng.normal(size=n),
+               "c": rng.choice([0.0, 1.0, np.nan], n)}
+    schema = TableSchema((Variable("y", "outcome", position=0), Variable("x1", "treatment"),
+                          Variable("x2", "treatment"), Variable("c", "covariate")))
+    table = DataTable(schema, columns)
+    idx = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n)))
+    inner = np.array(data.draw(st.lists(st.integers(0, len(idx) - 1), min_size=1,
+                                        max_size=2 * n)))
+    resample = table.take(idx)
+    for sub, rows in ((resample, idx), (resample.take(inner), idx[inner])):
+        got = LogisticCdf(sub)._xc
+        want = LogisticCdf(DataTable(schema, {k: v[rows] for k, v in columns.items()}))._xc
+        assert got.dtype == want.dtype and got.shape == want.shape == (len(rows), 3)
+        assert got.flags.c_contiguous and want.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+
+
 def test_a_logistic_answer_on_a_resample_reads_no_column(small_table):
     columns = _ReadLog(small_table.columns)
     root = DataTable(small_table.schema, columns)

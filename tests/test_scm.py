@@ -5,19 +5,27 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pocause import (
+    Additive,
     CfClause,
     ConfigError,
     CounterfactualEvent,
     CovariateDist,
     EstimatorConfig,
+    GaussianDiag,
     Lexicographic,
+    LinearMean,
+    NonMonotoneTest,
     NoSupportError,
     Ordering,
     ScalarScore,
+    ScmSpec,
     TabularMean,
     TreatmentPolicy,
+    UniformBox,
     check_monotonicity,
     compare,
     derived_rng,
@@ -33,6 +41,7 @@ from pocause import (
     simulate,
     validate_spec,
 )
+from pocause import scm
 
 ORACLE_SIGMAS = 4.0
 
@@ -750,3 +759,216 @@ def test_malformed_spec_numbers_name_their_field(base, path, value, field):
     target[path[-1]] = value
     with pytest.raises(ConfigError, match=f"^{re.escape(field)} must be"):
         scm_from_dict(obj)
+
+
+def _tabular_spec(x_levels, c_levels, cuts, n_outcomes, coupling):
+    """A ScmSpec around a TabularMean whose levels ascend lexicographically:
+    state k's first outcome is k."""
+    n_states = cuts.shape[2] + 1
+    levels = np.column_stack([np.arange(n_states, dtype=float)]
+                             + [np.linspace(1.0, -1.0, n_states)] * (n_outcomes - 1))
+    covariates = None
+    if c_levels.shape[1]:
+        covariates = CovariateDist(support=c_levels, probs=[1.0 / len(c_levels)] * len(c_levels))
+    return ScmSpec(
+        mean=TabularMean(x_levels=x_levels, c_levels=c_levels if c_levels.shape[1] else None,
+                         cuts=cuts, levels=levels),
+        noise=UniformBox(lo=[0.0], hi=[1.0]),
+        coupling=coupling,
+        policy=TreatmentPolicy(support=x_levels, logits=[0.0] * len(x_levels)),
+        covariates=covariates,
+    )
+
+
+def _old_tabular_outcome(mean, X, C, u):
+    """TabularMean.outcome as it was before one-row queries searched a
+    single cut row: every row matched, then one mask per distinct cell."""
+    from pocause.scm import _match_rows
+
+    ix = _match_rows(X, mean.x_levels, "treatment")
+    ic = _match_rows(C, mean.c_levels, "covariate")
+    state = np.empty(len(u), dtype=int)
+    cell = ix * mean.c_levels.shape[0] + ic
+    for cell_id in np.unique(cell):
+        mask = cell == cell_id
+        row = mean.cuts[cell_id // mean.c_levels.shape[0], cell_id % mean.c_levels.shape[0]]
+        state[mask] = np.searchsorted(row, u[mask], side="right")
+    return mean.levels[state]
+
+
+@st.composite
+def _tabular_cases(draw):
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    n_x, n_c = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    x_cols, c_cols = draw(st.integers(1, 2)), draw(st.integers(0, 2))
+    n_c = n_c if c_cols else 1
+    # Distinct level rows from a small grid, so levels share values.
+    x_levels = rng.permutation(np.array(list(itertools.product(
+        [-1.0, 0.0, 0.5, 1.0, 2.0], repeat=x_cols))))[:n_x]
+    c_levels = rng.permutation(np.array(list(itertools.product(
+        [0.0, 1.0, 2.5], repeat=c_cols))))[:n_c]
+    n_states = draw(st.integers(2, 12))
+    # Cuts on a coarse grid that holds 0 and 1, so ties and end cuts are common.
+    cuts = np.sort(rng.choice([0.0, 0.125, 0.25, 0.5, 0.75, 1.0],
+                              size=(len(x_levels), len(c_levels), n_states - 1)), axis=2)
+    flip = draw(st.sampled_from([None, "level", "between"]))
+    if flip is None:
+        coupling = Additive()
+    elif flip == "level":
+        coupling = NonMonotoneTest(flip_at=float(rng.choice(x_levels[:, 0])))
+    else:
+        coupling = NonMonotoneTest(flip_at=0.25)
+    spec = _tabular_spec(x_levels, c_levels, cuts, draw(st.integers(1, 2)), coupling)
+    # Latents: uniform draws, every cut value exactly, and both ends.
+    u = np.concatenate([rng.random(draw(st.integers(0, 40))), np.unique(cuts), [0.0, 1.0]])
+    return spec, rng.permutation(u)[:, None], rng
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_tabular_cases())
+def test_one_row_tabular_outcomes_equal_row_aligned_ones(case):
+    """One (x, c) row for every latent gives the same array as the row
+    repeated for each latent, as the per-row code gave, and as one row per
+    latent in any mix of shapes: a single x row with row-aligned c, or the
+    reverse."""
+    spec, U, rng = case
+    mean = spec.mean
+    n = U.shape[0]
+    for x in mean.x_levels:
+        for c in mean.c_levels:
+            X, C = np.repeat(x[None], n, axis=0), np.repeat(c[None], n, axis=0)
+            one = spec.outcomes(x[None], c[None], U)
+            aligned = spec.outcomes(X, C, U)
+            u_eff = spec.coupling.u_transform(X, U[:, 0])
+            assert one.dtype == aligned.dtype and one.shape == (n, spec.n_outcomes)
+            assert one.tobytes() == aligned.tobytes()
+            assert one.tobytes() == _old_tabular_outcome(mean, X, C, u_eff).tobytes()
+            # A single row of one kind against rows of the other.
+            Xr = mean.x_levels[rng.integers(0, len(mean.x_levels), n)]
+            Cr = mean.c_levels[rng.integers(0, len(mean.c_levels), n)]
+            for Xa, Ca in ((x[None], Cr), (Xr, c[None]), (Xr, Cr)):
+                Xf, Cf = np.broadcast_to(Xa, (n, Xa.shape[1])), np.broadcast_to(Ca, (n, Ca.shape[1]))
+                expected = _old_tabular_outcome(
+                    mean, Xf, Cf, spec.coupling.u_transform(Xf, U[:, 0]))
+                assert spec.outcomes(Xa, Ca, U).tobytes() == expected.tobytes()
+                by_row = [spec.outcomes(Xf[i:i + 1], Cf[i:i + 1], U[i:i + 1])[0] for i in range(n)]
+                assert np.array(by_row).reshape(n, -1).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize(
+    "x, c, what",
+    [
+        pytest.param((7.5,), (0.0,), "treatment", id="treatment"),
+        pytest.param((1.0,), (7.5,), "covariate", id="covariate"),
+        pytest.param((7.5,), (7.5,), "treatment", id="both-treatment-first"),
+    ],
+)
+def test_an_undeclared_level_fails_alike_in_one_row_and_row_aligned(x, c, what):
+    spec = _spec("tabular")
+    U = np.array([[0.1], [0.7], [0.95]])
+    message = f"{what} value [7.5] is not a declared level"
+    X, C = np.array([x]), np.array([c])
+    X3, C3 = np.repeat(X, 3, axis=0), np.repeat(C, 3, axis=0)
+    for Xa, Ca in ((X, C), (X3, C3), (X, C3), (X3, C)):
+        with pytest.raises(NoSupportError, match=f"^{re.escape(message)}$"):
+            spec.outcomes(Xa, Ca, U)
+    event = CounterfactualEvent((CfClause(x=x, below=(2.0,)),))
+    with pytest.raises(NoSupportError, match=f"^{re.escape(message)}$"):
+        oracle_joint(spec, event, c=c, n_mc=100)
+
+
+def test_tabular_oracles_match_one_row_per_call(monkeypatch):
+    """oracle_joint, oracle_evidence and check_monotonicity evaluate a
+    tabular mechanism at one (x, c) row per call, never at one per latent."""
+    spec = _spec("tabular")
+    match_rows = scm._match_rows
+    seen = []
+
+    def spy(rows, levels, what):
+        seen.append(rows.shape[0])
+        return match_rows(rows, levels, what)
+
+    monkeypatch.setattr(scm, "_match_rows", spy)
+    oracle_joint(spec, flip_event([(2.0,)], [(1.0,), (2.0,)]), c=(1.0,), n_mc=5_000, seed=3)
+    oracle_evidence(spec, thresholds=((2.0,),), treatments=((1.0,), (2.0,)), evidence_y=(1.0,),
+                    evidence_x=(1.0,), c=(0.0,), n_mc=5_000, seed=3)
+    check_monotonicity(spec, [(2.0,), (3.0,)], n_mc=5_000, seed=3)
+    assert len(seen) >= 2 * (2 + 3 + 2)
+    assert set(seen) == {1}
+
+
+def _unique_policy_sample(policy, C, rng):
+    """TreatmentPolicy.sample as it was when np.unique found the profiles."""
+    u = rng.random(C.shape[0])
+    eta = policy.logits[None, :]
+    if C.shape[1] == 0 or policy.covariate_logits is None:
+        inv = 0
+    else:
+        profiles, inv = np.unique(C, axis=0, return_inverse=True)
+        eta = eta + (policy.covariate_logits @ profiles[:, :, None])[:, :, 0]
+    w = np.exp(eta - eta.max(axis=1, keepdims=True))
+    cum = np.cumsum(w / w.sum(axis=1, keepdims=True), axis=1)
+    idx = np.zeros(C.shape[0], dtype=np.intp)
+    for level in range(policy.n_levels - 1):
+        idx += cum[inv, level] <= u
+    return policy.support[idx]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_levels=st.integers(1, 20),
+    n_cov=st.integers(0, 7),
+    n_rows=st.integers(0, 300),
+    kind=st.sampled_from(["rounded", "unrounded", "signed zeros", "no covariate logits"]),
+)
+def test_policy_sample_matches_the_np_unique_profiles(seed, n_levels, n_cov, n_rows, kind):
+    """Profiles found by one stable sort give np.unique's output bit for
+    bit: the same rows, the same draws, -0.0 and 0.0 as one profile."""
+    rng = np.random.default_rng(seed)
+    policy = TreatmentPolicy(
+        support=np.column_stack([np.arange(n_levels, dtype=float), rng.normal(size=n_levels)]),
+        logits=rng.normal(0.0, 2.0, n_levels),
+        covariate_logits=None if kind == "no covariate logits"
+        else rng.normal(0.0, 1.5, (n_levels, n_cov)),
+    )
+    C = rng.normal(size=(n_rows, n_cov))
+    if kind == "rounded":
+        C = np.round(C, 1)
+    elif kind == "signed zeros":
+        C = rng.choice([-1.0, -0.0, 0.0, 0.5], size=(n_rows, n_cov))
+    got = policy.sample(C, np.random.default_rng(seed + 1))
+    want = _unique_policy_sample(policy, C, np.random.default_rng(seed + 1))
+    assert got.shape == want.shape == (n_rows, 2)
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.tuples(st.integers(1, 3), st.integers(1, 4), st.integers(0, 3), st.integers(1, 60)),
+    flip=st.booleans(),
+)
+def test_one_row_linear_outcomes_are_the_broadcast_rows(seed, shape, flip):
+    """A linear mechanism given one (x, c) row computes its mean at every
+    latent row, as the broadcast rows do: a one-row product can differ from
+    the same row's product in an n-row one in the last bit."""
+    n_y, n_x, n_c, n = shape
+    rng = np.random.default_rng(seed)
+    mean = LinearMean(treat_coef=rng.normal(size=(n_y, n_x)),
+                      cov_coef=rng.normal(size=(n_y, n_c)) if n_c else None,
+                      intercept=rng.normal(size=n_y))
+    spec = ScmSpec(
+        mean=mean,
+        noise=GaussianDiag(mean=[0.0] * n_y, sd=[1.0] * n_y),
+        coupling=NonMonotoneTest(flip_at=0.0) if flip else Additive(),
+        policy=TreatmentPolicy(support=rng.normal(size=(2, n_x)), logits=[0.0, 0.0]),
+        covariates=CovariateDist(support=rng.normal(size=(1, n_c)), probs=[1.0]) if n_c else None,
+    )
+    U = rng.normal(size=(n, n_y))
+    x, c = rng.normal(size=n_x), rng.normal(size=n_c)
+    X, C = np.broadcast_to(x, (n, n_x)), np.broadcast_to(c, (n, n_c))
+    want = mean.value(X, C) + spec.coupling.sign(X)[:, None] * U
+    assert spec.outcomes(x[None], c[None], U).tobytes() == want.tobytes()
+    assert spec.outcomes(X, C, U).tobytes() == want.tobytes()
