@@ -332,12 +332,12 @@ def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     np.unique(rows, axis=0)'s order (first column primary), by one stable
     sort. Rows equal by value are one row, -0.0 and 0.0 included; the first
     of them in row order stands for the rest."""
-    rows_sorted = np.lexsort(rows.T[::-1])
-    ordered = rows[rows_sorted]
+    perm = np.lexsort(rows.T[::-1])
+    ordered = rows[perm]
     starts = np.ones(rows.shape[0], dtype=bool)
     starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
     inverse = np.empty(rows.shape[0], dtype=np.intp)
-    inverse[rows_sorted] = np.cumsum(starts) - 1
+    inverse[perm] = np.cumsum(starts) - 1
     return ordered[starts], inverse
 
 

@@ -392,8 +392,8 @@ class TreatmentPolicy(_Piece):
 
     def sample(self, C: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """One support row per data row; one uniform per row, in row order.
-        Each distinct covariate row's probabilities are computed once, with
-        the rows grouped by one stable sort rather than by np.unique."""
+        Each distinct covariate row's probabilities are computed once, on
+        rows grouped by one stable sort in np.unique's order."""
         u = rng.random(C.shape[0])
         eta = self.logits[None, :]
         if C.shape[1] == 0 or self.covariate_logits is None:

@@ -783,10 +783,8 @@ def _tabular_spec(x_levels, c_levels, cuts, n_outcomes, coupling):
 def _old_tabular_outcome(mean, X, C, u):
     """TabularMean.outcome as it was before one-row queries searched a
     single cut row: every row matched, then one mask per distinct cell."""
-    from pocause.scm import _match_rows
-
-    ix = _match_rows(X, mean.x_levels, "treatment")
-    ic = _match_rows(C, mean.c_levels, "covariate")
+    ix = scm._match_rows(X, mean.x_levels, "treatment")
+    ic = scm._match_rows(C, mean.c_levels, "covariate")
     state = np.empty(len(u), dtype=int)
     cell = ix * mean.c_levels.shape[0] + ic
     for cell_id in np.unique(cell):
@@ -848,7 +846,8 @@ def test_one_row_tabular_outcomes_equal_row_aligned_ones(case):
             Xr = mean.x_levels[rng.integers(0, len(mean.x_levels), n)]
             Cr = mean.c_levels[rng.integers(0, len(mean.c_levels), n)]
             for Xa, Ca in ((x[None], Cr), (Xr, c[None]), (Xr, Cr)):
-                Xf, Cf = np.broadcast_to(Xa, (n, Xa.shape[1])), np.broadcast_to(Ca, (n, Ca.shape[1]))
+                Xf = np.broadcast_to(Xa, (n, Xa.shape[1]))
+                Cf = np.broadcast_to(Ca, (n, Ca.shape[1]))
                 expected = _old_tabular_outcome(
                     mean, Xf, Cf, spec.coupling.u_transform(Xf, U[:, 0]))
                 assert spec.outcomes(Xa, Ca, U).tobytes() == expected.tobytes()
