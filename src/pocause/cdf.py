@@ -67,7 +67,7 @@ class LogisticModel:
 
 def _sigmoid(eta: np.ndarray) -> np.ndarray:
     ez = np.exp(-np.abs(eta))
-    return np.where(eta >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
+    return np.where(eta >= 0, 1.0, ez) / (1.0 + ez)
 
 
 def fit_logistic(features, labels, *, ridge: float = 0.0) -> LogisticModel:

@@ -234,11 +234,12 @@ class DataTable:
         """Each row's (x, c) stratum code, and the code of each distinct
         (x, c) row, for a table with at least one treatment or covariate.
 
-        One stable sort of the root's (treatment, covariate) rows numbers
-        its distinct rows 0, 1, ... in sorted order. The lookup is keyed by
-        value, as a tuple of floats, so -0.0 and 0.0 name one stratum. A
-        table made by take() has its root's lookup and its rows' root
-        codes, so some strata may have no rows in it.
+        One stable sort of the root's (treatment, covariate) rows
+        (_distinct_rows) numbers its distinct rows 0, 1, ... in sorted
+        order, first column primary. The lookup is keyed by value, as a
+        tuple of floats, so -0.0 and 0.0 name one stratum. A table made by
+        take() has its root's lookup and its rows' root codes, so some
+        strata may have no rows in it.
         """
         return self.cached("strata", self._build_stratum_index)
 
@@ -246,17 +247,8 @@ class DataTable:
         if self._root is not None:
             codes, lookup = self._root.stratum_index()
             return codes[self._rows], lookup
-        xc = np.hstack([self.treatments(), self.covariates()])
-        rows = np.lexsort(xc.T)
-        ordered = xc[rows]
-        starts = np.zeros(xc.shape[0], dtype=bool)
-        starts[:1] = True
-        for j in range(xc.shape[1]):
-            starts[1:] |= ordered[1:, j] != ordered[:-1, j]
-        codes = np.empty(xc.shape[0], dtype=np.intp)
-        codes[rows] = np.cumsum(starts) - 1
-        lookup = {tuple(key): code for code, key in enumerate(ordered[starts].tolist())}
-        return codes, lookup
+        distinct, codes = _distinct_rows(np.hstack([self.treatments(), self.covariates()]))
+        return codes, {tuple(key): code for code, key in enumerate(distinct.tolist())}
 
     def take(self, indices) -> DataTable:
         """The table of this table's rows at indices, in that order, repeats
@@ -331,11 +323,14 @@ def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of a 2-d array and each row's index among them, in
     np.unique(rows, axis=0)'s order (first column primary), by one stable
     sort. Rows equal by value are one row, -0.0 and 0.0 included; the first
-    of them in row order stands for the rest."""
+    of them in row order stands for the rest. Rows are compared a column at
+    a time, so no (n, k) boolean temporary is built."""
     perm = np.lexsort(rows.T[::-1])
     ordered = rows[perm]
-    starts = np.ones(rows.shape[0], dtype=bool)
-    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    starts = np.zeros(rows.shape[0], dtype=bool)
+    starts[:1] = True
+    for j in range(rows.shape[1]):
+        starts[1:] |= ordered[1:, j] != ordered[:-1, j]
     inverse = np.empty(rows.shape[0], dtype=np.intp)
     inverse[perm] = np.cumsum(starts) - 1
     return ordered[starts], inverse

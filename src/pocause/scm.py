@@ -528,7 +528,8 @@ class ScmSpec(_Piece):
 
     def outcomes(self, X: np.ndarray, C: np.ndarray, U: np.ndarray) -> np.ndarray:
         """Structural response at each latent row of U. X and C are each
-        row-aligned with U or one row for every latent.
+        row-aligned with U or one row for every latent; any other row
+        count is a ConfigError.
 
         A tabular mechanism reads one cut row when X and C are both one
         row. A linear one broadcasts them to U's rows first: a one-row
@@ -538,10 +539,13 @@ class ScmSpec(_Piece):
         X = np.asarray(X, dtype=float)
         C = np.asarray(C, dtype=float)
         U = np.asarray(U, dtype=float)
+        n = U.shape[0]
+        for role, M in (("treatment", X), ("covariate", C)):
+            if M.shape[0] not in (1, n):
+                raise ConfigError(f"{role} rows: got {M.shape[0]}, need 1 or {n} (one per latent)")
         if isinstance(self.mean, TabularMean):
             u_eff = self.coupling.u_transform(X, U[:, 0])
             return self.mean.outcome(X, C, u_eff)
-        n = U.shape[0]
         X = np.broadcast_to(X, (n, X.shape[1]))
         C = np.broadcast_to(C, (n, C.shape[1]))
         mu = self.mean.value(X, C)
@@ -1079,31 +1083,33 @@ def validate_spec(
             order=spec.order,
         )
 
-    # Identification: formula on simulated data against the shared-latent
-    # oracle. Under a broken monotonicity assumption these are expected to
-    # disagree, so they are recorded without a verdict there.
+    # Every estimate held against a joint oracle is one record: truth() is
+    # asked once the estimate stands. Under a broken monotonicity assumption
+    # the two are expected to disagree, so there a gap gets no verdict.
+    def vs_oracle(name: str, label: str, q: PoCQuery, truth) -> None:
+        value = evaluate_query(table, q, config).value
+        target = truth()
+        gap = abs(value - target)
+        detail = f"{label} {value:.4f} vs oracle {target:.4f}"
+        if nonmono:
+            status = "xfail" if gap > ORACLE_TOL else "pass"
+            detail += "; the mechanism is deliberately nonmonotone, disagreement expected"
+        else:
+            status = "pass" if gap <= ORACLE_TOL else "fail"
+        check(name, status, gap, ORACLE_TOL, detail)
+
+    # Identification: pns, pn and ps are the flip's oracle probability over
+    # 1, over P(Y(x1) reaches y_mid) and over P(Y(x0) is short of y_mid),
+    # the flip's clause values; a row whose denominator is 0 is skipped.
     try:
-        # The flip's clauses are Y(x0) short of y_mid and Y(x1) reaching it.
         o_flip = oracle_joint(spec, flip_event([y_mid], [x0, x1]), c, n_mc, seed)
         short, reach = o_flip.clause_values
-        targets = {"pns": o_flip.value}
-        if reach > 0:
-            targets["pn"] = o_flip.value / reach
-        if short > 0:
-            targets["ps"] = o_flip.value / short
-        for kind, target in targets.items():
-            value = evaluate_query(table, query(kind, [y_mid], [x0, x1]), config).value
-            gap = abs(value - target)
-            if nonmono:
-                status = "xfail" if gap > ORACLE_TOL else "pass"
-                detail = (
-                    f"{kind} formula {value:.4f} vs oracle {target:.4f}; the "
-                    "mechanism is deliberately nonmonotone, disagreement expected"
+        for kind, denominator in (("pns", 1.0), ("pn", reach), ("ps", short)):
+            if denominator > 0:
+                vs_oracle(
+                    f"{kind}_vs_oracle", f"{kind} formula", query(kind, [y_mid], [x0, x1]),
+                    lambda: o_flip.value / denominator,
                 )
-            else:
-                status = "pass" if gap <= ORACLE_TOL else "fail"
-                detail = f"{kind} formula {value:.4f} vs oracle {target:.4f}"
-            check(f"{kind}_vs_oracle", status, gap, ORACLE_TOL, detail)
     except PocError as exc:
         check("identification", "fail", None, ORACLE_TOL, f"identification checks errored: {exc}")
 
@@ -1179,34 +1185,24 @@ def validate_spec(
     except PocError as exc:
         check("evidence", "fail", None, None, f"evidence check errored: {exc}")
 
-    # Treatment chains, where the support is rich enough.
-    def chain_check(name, xs_idx, ts_idx):
+    # Treatment chains, each run where the support has a level for every
+    # step's treatment: name, support indices and threshold quantiles.
+    n_t = len(thresholds)
+    chains = (
+        ("chain_two_steps", [0, n_levels // 2, n_levels - 1], (0.4, 0.6)),
+        ("chain_three_steps", np.round(np.linspace(0, n_levels - 1, 4)).astype(int).tolist(),
+         (0.35, 0.5, 0.65)),
+    )
+    for name, xs_idx, quantiles in chains:
+        if n_levels < len(xs_idx):
+            continue
         xs = [tuple(sup[i]) for i in xs_idx]
-        ts = [thresholds[i] for i in ts_idx]
+        ts = [thresholds[int(q * n_t)] for q in quantiles]
         try:
-            est = evaluate_query(table, query("pns_multi", ts, xs), config)
-            orc = oracle_joint(spec, flip_event(ts, xs), c, n_mc, seed)
-            gap = abs(est.value - orc.value)
-            check(
-                name, "pass" if gap <= ORACLE_TOL else "fail", gap, ORACLE_TOL,
-                f"chain estimate {est.value:.4f} vs oracle {orc.value:.4f}",
+            vs_oracle(
+                name, "chain estimate", query("pns_multi", ts, xs),
+                lambda: oracle_joint(spec, flip_event(ts, xs), c, n_mc, seed).value,
             )
         except PocError as exc:
             check(name, "fail", None, ORACLE_TOL, f"chain check errored: {exc}")
-
-    n_t = len(thresholds)
-    if n_levels >= 3:
-        chain_check(
-            "chain_two_steps",
-            [0, n_levels // 2, n_levels - 1],
-            [int(0.4 * n_t), int(0.6 * n_t)],
-        )
-    if n_levels >= 4:
-        idx = np.round(np.linspace(0, n_levels - 1, 4)).astype(int)
-        if len(set(idx.tolist())) == 4:
-            chain_check(
-                "chain_three_steps",
-                idx.tolist(),
-                [int(0.35 * n_t), int(0.5 * n_t), int(0.65 * n_t)],
-            )
     return checks

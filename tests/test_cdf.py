@@ -970,7 +970,8 @@ def test_sigmoid_matches_the_masked_version_bit_for_bit(scale):
     rng = np.random.default_rng(int(scale))
     eta = np.concatenate([
         scale * rng.standard_normal(5000),
-        [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 710.0, -710.0, 745.5, -745.5],
+        [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 2.2e-308, -2.2e-308,
+         710.0, -710.0, 745.5, -745.5, np.inf, -np.inf],
     ])
     new, old = cdf._sigmoid(eta), _masked_sigmoid(eta)
     assert new.dtype == old.dtype == np.float64

@@ -971,3 +971,83 @@ def test_one_row_linear_outcomes_are_the_broadcast_rows(seed, shape, flip):
     want = mean.value(X, C) + spec.coupling.sign(X)[:, None] * U
     assert spec.outcomes(x[None], c[None], U).tobytes() == want.tobytes()
     assert spec.outcomes(X, C, U).tobytes() == want.tobytes()
+
+
+def _unreachable_top_level_spec():
+    """additive_scalar with its top treatment level (1.5) all but never
+    drawn, so an n-row table has no rows there."""
+    obj = json.loads(packaged_spec_path("additive_scalar").read_text())
+    obj["policy"]["logits"] = [0.0, 0.0, 0.0, -40.0]
+    return scm_from_dict(obj)
+
+
+_NO_TOP_LEVEL = "errored: no observations with treatment [1.5] and covariates []"
+_SILENT_DIAGNOSTICS = [
+    {"name": "monotonicity", "status": "pass", "observed": 0.0, "band": 0.0,
+     "detail": "largest two-sided flip probability 0.00000 (3 std errors = 0.00000)"},
+    {"name": "crossings", "status": "pass", "observed": 0, "band": 0,
+     "detail": "0 crossings over 5 latent curves"},
+]
+
+
+@pytest.mark.parametrize(
+    "method, oracle_calls, expected",
+    [
+        pytest.param("empirical", 1, [
+            {"name": "identification", "status": "fail", "observed": None, "band": 0.02,
+             "detail": f"identification checks {_NO_TOP_LEVEL}"},
+            *_SILENT_DIAGNOSTICS,
+            {"name": "evidence", "status": "fail", "observed": None, "band": None,
+             "detail": f"evidence check {_NO_TOP_LEVEL}"},
+            {"name": "chain_two_steps", "status": "fail", "observed": None, "band": 0.02,
+             "detail": f"chain check {_NO_TOP_LEVEL}"},
+            {"name": "chain_three_steps", "status": "fail", "observed": None, "band": 0.02,
+             "detail": f"chain check {_NO_TOP_LEVEL}"},
+        ], id="empirical"),
+        pytest.param("logistic", 3, [
+            {"name": "pns_vs_oracle", "status": "pass", "observed": 0.005034990700631292,
+             "band": 0.02, "detail": "pns formula 0.5570 vs oracle 0.5520"},
+            {"name": "pn_vs_oracle", "status": "pass", "observed": 0.0026111567667651547,
+             "band": 0.02, "detail": "pn formula 0.7226 vs oracle 0.7252"},
+            {"name": "ps_vs_oracle", "status": "pass", "observed": 0.01056409303484207,
+             "band": 0.02, "detail": "ps formula 0.7086 vs oracle 0.6980"},
+            *_SILENT_DIAGNOSTICS,
+            {"name": "evidence_pinned", "status": "pass", "observed": 0.0, "band": 0,
+             "detail": "conditioned estimate 1 (evidence_case_b) vs pinned-latent oracle 1"},
+            {"name": "chain_two_steps", "status": "pass", "observed": 0.004111433495577799,
+             "band": 0.02, "detail": "chain estimate 0.1997 vs oracle 0.1956"},
+            {"name": "chain_three_steps", "status": "pass", "observed": 0.015528311589917215,
+             "band": 0.02, "detail": "chain estimate 0.1577 vs oracle 0.1732"},
+        ], id="logistic"),
+    ],
+)
+def test_validate_spec_records_checks_that_error(method, oracle_calls, expected, monkeypatch):
+    """A treatment level with no rows makes every empirical check that asks
+    for it an errored, failed record, in its usual place: one for all of
+    identification, one for evidence and one per chain, whose oracle is not
+    run once its estimate has failed. The logistic estimator extrapolates
+    to that level, and every check passes. The records are compared whole,
+    as JSON, so a 0 and a 0.0 differ."""
+    calls, oracle = [], scm.oracle_joint
+    monkeypatch.setattr(scm, "oracle_joint", lambda *a: calls.append(a) or oracle(*a))
+    checks = validate_spec(
+        _unreachable_top_level_spec(), n=2000, n_mc=5000, grid=6, n_u=5,
+        config=EstimatorConfig(method=method), seed=3,
+    )
+    assert json.dumps(checks) == json.dumps(expected)
+    assert len(calls) == oracle_calls
+
+
+@pytest.mark.parametrize("name", ["additive_scalar", "lexi2", "tabular"])
+@pytest.mark.parametrize("role", ["treatment", "covariate"])
+def test_outcomes_reject_rows_that_match_neither_one_nor_the_latents(name, role):
+    """X and C must each be one row or one row per latent; 2 rows against
+    3 latents is a ConfigError naming both counts, for either mechanism."""
+    spec = _spec(name)
+    U = spec.noise.sample(3, np.random.default_rng(0))
+    x = np.asarray(spec.policy.support[:1], dtype=float)
+    c = (np.zeros((1, 0)) if spec.covariates is None
+         else np.asarray(spec.covariates.support[:1], dtype=float))
+    X, C = (np.repeat(x, 2, axis=0), c) if role == "treatment" else (x, np.repeat(c, 2, axis=0))
+    with pytest.raises(ConfigError, match=f"^{role} rows: got 2, need 1 or 3 "):
+        spec.outcomes(X, C, U)
