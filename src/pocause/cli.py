@@ -21,14 +21,13 @@ data's support, 5 estimation failure, 1 anything unexpected.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
 from dataclasses import asdict
 
 from .bundled import packaged_spec_path
-from .dataset import load_schema, load_table, save_table
+from .dataset import _save_curves, load_schema, load_table, save_table
 from .errors import (
     ConfigError,
     DataError,
@@ -170,18 +169,7 @@ def _cmd_trajectories(args) -> int:
     seed = _resolve_seed(args.seed)
     spec = _resolve_spec(args.spec)
     traj = export_trajectories(spec, _trajectory_grid(spec, args.grid), n_u=args.n_u, seed=seed)
-
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, delimiter=";")
-        header = (
-            ["u_index"]
-            + [f"x{j + 1}" for j in range(traj.x_grid.shape[1])]
-            + [f"y{j + 1}" for j in range(traj.outcomes.shape[2])]
-        )
-        writer.writerow(header)
-        x_grid = traj.x_grid.tolist()
-        for i, curve in enumerate(traj.outcomes):
-            writer.writerows([i, *x, *y] for x, y in zip(x_grid, curve.tolist()))
+    _save_curves(args.out, traj.x_grid, traj.outcomes)
     _emit(
         {
             "command": "trajectories",

@@ -28,6 +28,7 @@ import json
 import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -36,7 +37,7 @@ from .errors import ConfigError, DataError, MissingValueError, PocError, SchemaE
 ROLES = ("outcome", "treatment", "covariate", "ignored")
 KINDS = ("numeric", "categorical")
 MISSING_TOKENS = ("", "NA", "?")
-_SAVE_CHUNK_ROWS = 8192  # rows per writerows call; bounds the cell strings held at once
+_SAVE_CHUNK_ROWS = 8192  # rows per join and write; bounds the cell strings held at once
 
 
 @dataclass(frozen=True)
@@ -337,11 +338,14 @@ def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _check_delimiter(delimiter) -> None:
-    """Reject a delimiter the csv module cannot use, before any file is opened."""
+    """Reject a delimiter the csv module cannot use, or a line break, which
+    would split every row into lines, before any file is opened."""
     try:
         csv.reader([], delimiter=delimiter)
     except TypeError:
         raise ConfigError(f"delimiter must be one character, got {delimiter!r}") from None
+    if delimiter in "\r\n":
+        raise ConfigError(f"delimiter must not be a line break, got {delimiter!r}")
 
 
 def load_table(path, schema: TableSchema, delimiter: str = ";") -> DataTable:
@@ -388,7 +392,7 @@ def _load_numeric(path, wanted, delimiter: str) -> dict[str, np.ndarray] | None:
                 arr = np.loadtxt(
                     fh, delimiter=delimiter, comments=None, quotechar=None, ndmin=2, dtype=float
                 )
-    except (OSError, ValueError, TypeError, csv.Error):  # TypeError: a newline delimiter
+    except (OSError, ValueError, csv.Error):
         return None
     if (
         arr.shape[0] == 0
@@ -419,6 +423,7 @@ def _load_csv(path, schema: TableSchema, delimiter: str) -> DataTable:
     """load_table through the csv module, cell by cell: the reference
     reader, the only one that reports errors, and the one for categorical
     columns."""
+    _check_delimiter(delimiter)
     wanted = {v.name: v for v in schema.variables if v.role != "ignored"}
     try:
         fh = open(path, newline="", encoding="utf-8")
@@ -514,22 +519,76 @@ def save_table(table: DataTable, path, delimiter: str = ";") -> None:
     """Write a DataTable back to disk. Loading the result under the same
     schema reproduces the columns and codes exactly.
 
-    Rows are formatted a column at a time, _SAVE_CHUNK_ROWS rows at once,
-    and written by one csv.writer, which quotes any cell that needs it.
+    Numbers are written with repr and levels by name, _SAVE_CHUNK_ROWS rows
+    at a time, column by column; each level is quoted once.
     """
     _check_delimiter(delimiter)
     names = [v.name for v in table.schema.variables if v.name in table.columns]
-    levels = {name: np.array(lv, dtype=object) for name, lv in table.levels.items()}
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, delimiter=delimiter)
-        writer.writerow(names)
+    levels = {
+        name: np.array(_csv_cells(list(lv), delimiter), dtype=object)
+        for name, lv in table.levels.items()
+    }
+
+    def chunks():
         for s in range(0, table.n_rows, _SAVE_CHUNK_ROWS):
-            e = s + _SAVE_CHUNK_ROWS
-            parts = []
+            columns = []
             for name in names:
-                col = table.columns[name][s:e]
+                col = table.columns[name][s:s + _SAVE_CHUNK_ROWS]
                 if name in levels:
-                    parts.append(levels[name][col.astype(int) - 1])
+                    columns.append(levels[name][col.astype(int) - 1].tolist())
                 else:
-                    parts.append(list(map(repr, np.asarray(col, dtype=float).tolist())))
-            writer.writerows(zip(*parts))
+                    columns.append(_csv_numbers(np.asarray(col, dtype=float), delimiter))
+            yield columns
+
+    _write_csv(path, _csv_cells(names, delimiter), chunks(), delimiter)
+
+
+def _save_curves(path, x_grid: np.ndarray, curves: np.ndarray) -> None:
+    """Write (n_u, n_grid, d) outcome curves over an (n_grid, k) treatment
+    grid, one ';'-delimited row per curve and grid point: u_index, x1..xk,
+    y1..yd. Each curve is one chunk of rows."""
+    header = (
+        ["u_index"]
+        + [f"x{j + 1}" for j in range(x_grid.shape[1])]
+        + [f"y{j + 1}" for j in range(curves.shape[2])]
+    )
+    xs = [_csv_numbers(col, ";") for col in x_grid.T]
+    chunks = (
+        [[str(i)] * len(x_grid), *xs, *(_csv_numbers(col, ";") for col in curve.T)]
+        for i, curve in enumerate(curves)
+    )
+    _write_csv(path, _csv_cells(header, ";"), chunks, ";")
+
+
+def _csv_numbers(values: np.ndarray, delimiter: str) -> list[str]:
+    """A float column's cells: each value's repr, quoted where it holds the
+    delimiter."""
+    return _csv_cells(list(map(repr, values.tolist())), delimiter)
+
+
+def _csv_cells(texts: list[str], delimiter: str) -> list[str]:
+    """texts as csv.writer writes them by default (QUOTE_MINIMAL): a cell
+    holding the delimiter, a quote, a carriage return or a line feed is
+    quoted, with its quotes doubled."""
+    special = (delimiter, '"', "\r", "\n")
+    joined = "".join(texts)
+    if not any(ch in joined for ch in special):
+        return texts
+    return [
+        '"' + t.replace('"', '""') + '"' if any(ch in t for ch in special) else t
+        for t in texts
+    ]
+
+
+def _write_csv(path, header: list[str], chunks, delimiter: str) -> None:
+    """Write the header row, then every chunk of rows, as csv.writer writes
+    them: cells already quoted by _csv_cells, a row's lone empty cell as two
+    quotes, and \\r\\n after each row. A chunk is a list of equally long
+    columns of cells, written with one join."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        for columns in chain([[[cell] for cell in header]], chunks):
+            if len(columns) == 1:
+                columns = [[cell or '""' for cell in columns[0]]]
+            rows = list(map(delimiter.join, zip(*columns)))
+            if rows:
+                fh.write("\r\n".join(rows) + "\r\n")

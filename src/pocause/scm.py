@@ -57,18 +57,18 @@ _STREAM_PROBE = 4
 _STREAM_TRAJECTORIES = 5
 
 
-def _has_text(v) -> bool:
-    """Whether v is a string or a list or tuple holding one at any depth."""
-    return isinstance(v, str) or (isinstance(v, (list, tuple)) and any(map(_has_text, v)))
-
-
 def _floats(v, name: str) -> np.ndarray:
     """v as a float array; a ragged or non-numeric v, or one holding a
-    string, is a ConfigError that names the field."""
+    string, is a ConfigError that names the field. numpy gives a list that
+    holds a string at any depth a text dtype, or the object dtype when the
+    list also holds None or an integer past int64."""
     try:
-        if _has_text(v):
+        arr = np.asarray(v)
+        if arr.dtype.kind in "US" or (
+            arr.dtype.kind == "O" and any(isinstance(x, (str, bytes)) for x in arr.flat)
+        ):
             raise TypeError(v)
-        return np.asarray(v, dtype=float)
+        return arr.astype(float, copy=False)
     except (TypeError, ValueError):
         raise ConfigError(f"{name} must be numbers in a rectangular array, got {v!r}") from None
 
@@ -112,6 +112,64 @@ def _check_distinct(rows: np.ndarray, what: str) -> None:
     check from raising the peak memory.)"""
     if len({row.tobytes() for row in rows + 0.0}) != rows.shape[0]:
         raise ConfigError(f"{what} contains duplicate rows")
+
+
+_LADDER_CHUNK = 1 << 14  # keys bucketed at once; bounds the search's temporaries
+
+
+def _ladder_search(ladder: np.ndarray, keys, side: str) -> np.ndarray:
+    """np.searchsorted(ladder, keys, side), exactly, for an ascending float
+    ladder; by bucket lookup once the ladder has 16 or more values.
+
+    16 buckets per ladder value split the ladder's span evenly. A value's
+    bucket is trunc(clip((v - ladder[0]) * scale + 1, 0, top)), with NaN
+    in the top bucket, where numpy sorts it. Each step is monotone in v, so
+    a ladder value in a lower bucket than a key precedes it and one in a
+    higher bucket follows it. A key's index is then the count of ladder
+    values in lower buckets, plus one comparison when its bucket holds one
+    value (with no value, the next one up compares false); only keys in a
+    bucket of two or more values are searched. A span that gives no
+    positive finite scale (a zero, subnormal or overflowing span, or a
+    non-finite end) is searched directly.
+    """
+    n_l = len(ladder)
+    scale = 0.0
+    if n_l >= 16:
+        with np.errstate(over="ignore", divide="ignore"):
+            scale = (16 * n_l) / (ladder[-1] - ladder[0])
+    if not 0.0 < scale < np.inf:
+        return np.searchsorted(ladder, keys, side)
+    top = 16 * n_l + 2  # above every ladder value's bucket, n_l * 16 + 1 at most
+
+    def buckets(v):
+        b = np.subtract(v, ladder[0])
+        b *= scale
+        b += 1.0
+        np.fmin(b, top, out=b)
+        np.fmax(b, 0.0, out=b)
+        return b.astype(np.intp)
+
+    with np.errstate(over="ignore"):
+        count = np.bincount(buckets(ladder), minlength=top + 1)
+        shared = count > 1
+        before = np.cumsum(count)
+        before -= count
+        del count
+        nexts = np.append(ladder, np.nan)  # the value at each index; NaN compares false
+        reached = np.less_equal if side == "right" else np.less
+        keys = np.asarray(keys, dtype=float)
+        flat = keys.reshape(-1)
+        out = np.empty(flat.shape, dtype=np.intp)
+        for s in range(0, flat.size, _LADDER_CHUNK):
+            v = flat[s:s + _LADDER_CHUNK]
+            b = buckets(v)
+            idx = out[s:s + _LADDER_CHUNK]
+            np.take(before, b, out=idx)
+            idx += reached(nexts[idx], v)
+            many = np.flatnonzero(shared[b])
+            if many.size:
+                idx[many] = np.searchsorted(ladder, v[many], side)
+    return out.reshape(keys.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -252,12 +310,12 @@ class TabularMean(_Piece):
         n_c = self.c_levels.shape[0]
         cell = ix * n_c + ic
         if cell.size == 1:
-            return self.levels[np.searchsorted(self.cuts[ix[0], ic[0]], u, side="right")]
+            return self.levels[_ladder_search(self.cuts[ix[0], ic[0]], u, "right")]
         state = np.empty(len(u), dtype=int)
         for cell_id in np.flatnonzero(np.bincount(cell)):
             mask = cell == cell_id
-            state[mask] = np.searchsorted(self.cuts[cell_id // n_c, cell_id % n_c], u[mask],
-                                          side="right")
+            state[mask] = _ladder_search(self.cuts[cell_id // n_c, cell_id % n_c], u[mask],
+                                         "right")
         return self.levels[state]
 
     def state_probs(self, x, c) -> np.ndarray:
@@ -436,7 +494,7 @@ class CovariateDist(_Piece):
     def sample_rows(self, n: int, rng: np.random.Generator) -> np.ndarray:
         cum = np.cumsum(self.probs)
         idx = np.minimum(
-            np.searchsorted(cum, rng.random(n), side="right"), len(cum) - 1
+            _ladder_search(cum, rng.random(n), "right"), len(cum) - 1
         )
         return self.support[idx]
 
@@ -924,9 +982,9 @@ def _threshold_ranks(rows: np.ndarray, ladder: np.ndarray, order: OrderSpec) -> 
     first = order.keys(ladder)[0]
     row_keys = order.keys(rows)
     dtype = np.min_scalar_type(len(ladder))
-    ranks = np.searchsorted(first, row_keys[0], side="right").astype(dtype)
+    ranks = _ladder_search(first, row_keys[0], "right").astype(dtype)
     if len(row_keys) > 1:
-        lo = np.searchsorted(first, row_keys[0], side="left")
+        lo = _ladder_search(first, row_keys[0], "left")
         tied = np.flatnonzero(lo < ranks)
         tied_rows, lo, hi = rows[tied], lo[tied], ranks[tied]
         open_ = lo < hi

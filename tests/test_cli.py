@@ -1,11 +1,14 @@
+import csv
+import io
 import json
 from pathlib import Path
 
 import jsonschema
 import pytest
 
-from pocause import cdf
+from pocause import cdf, export_trajectories, load_scm, packaged_spec_path
 from pocause.cli import main
+from pocause.scm import _trajectory_grid
 
 SMALL_CSV = "\n".join(
     ["y;x;c"]
@@ -385,6 +388,25 @@ def test_multi_character_delimiter_is_a_config_error(command, workdir, capsys):
     assert not sim.exists()
 
 
+@pytest.mark.parametrize("delimiter", ["\n", "\r"], ids=["lf", "cr"])
+@pytest.mark.parametrize("command", ["simulate", "estimate"])
+def test_line_break_delimiter_is_a_config_error(command, delimiter, workdir, capsys):
+    """A line-break delimiter would write a table that no reader splits
+    back into its rows; it is refused before any file is written."""
+    sim = workdir / "sim.csv"
+    if command == "simulate":
+        args = ["simulate", "--spec", "additive_scalar", "--n", "10", "--out", str(sim)]
+    else:
+        args = _estimate_args(workdir)
+    assert main([*args, "--delimiter", delimiter]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == {
+        "type": "ConfigError",
+        "message": f"delimiter must not be a line break, got {delimiter!r}",
+    }
+    assert not sim.exists()
+
+
 def test_missing_data_file_is_a_config_error(workdir, capsys):
     code = main([
         "estimate", "--data", str(workdir / "absent.csv"),
@@ -416,6 +438,31 @@ def test_non_object_section_is_a_config_error(section, value, tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["type"] == "ConfigError"
     assert err["error"]["message"] == f"model spec needs a {section!r} object"
+
+
+@pytest.mark.parametrize("spec", ["additive_scalar", "lexi2", "nonmono", "tabular"])
+def test_trajectory_file_matches_a_csv_writer_reference(spec, tmp_path, capsys):
+    """The curve file holds the bytes csv.writer writes for the same
+    curves, one row per curve and grid point."""
+    out = tmp_path / "curves.csv"
+    assert main([
+        "trajectories", "--spec", spec, "--grid", "6", "--n-u", "5",
+        "--seed", "4", "--out", str(out),
+    ]) == 0
+    capsys.readouterr()
+    model = load_scm(packaged_spec_path(spec))
+    traj = export_trajectories(model, _trajectory_grid(model, 6), n_u=5, seed=4)
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf, delimiter=";")
+    writer.writerow(
+        ["u_index"]
+        + [f"x{j + 1}" for j in range(traj.x_grid.shape[1])]
+        + [f"y{j + 1}" for j in range(traj.outcomes.shape[2])]
+    )
+    for i, curve in enumerate(traj.outcomes):
+        for x, y in zip(traj.x_grid.tolist(), curve.tolist()):
+            writer.writerow([i, *x, *y])
+    assert out.read_bytes() == buf.getvalue().encode("utf-8")
 
 
 def test_lexi2_trajectory_export_is_pinned(tmp_path, capsys):

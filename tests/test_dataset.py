@@ -21,7 +21,7 @@ from pocause import (
     save_table,
     schema_from_dict,
 )
-from pocause.dataset import _SAVE_CHUNK_ROWS, _load_csv, _load_numeric
+from pocause.dataset import _SAVE_CHUNK_ROWS, _csv_cells, _load_csv, _load_numeric, _write_csv
 
 
 def test_outcome_columns_follow_declared_position(write_csv):
@@ -339,6 +339,49 @@ def test_a_cell_past_the_csv_field_limit_is_a_data_error(kind, cell, write_csv):
         with pytest.raises(DataError) as info:
             read(path, schema, ";")
         assert str(info.value) == f"{path}: line 3: field larger than field limit (131072)"
+
+
+@pytest.mark.parametrize("delimiter", ["\n", "\r"], ids=["lf", "cr"])
+def test_line_break_delimiters_are_rejected_before_any_file_opens(delimiter, small_table,
+                                                                  tmp_path):
+    """save_table under a line-break delimiter would write a file that
+    load_table cannot read back; both refuse it before opening a file."""
+    message = f"^delimiter must not be a line break, got {re.escape(repr(delimiter))}$"
+    path = tmp_path / "saved.csv"
+    with pytest.raises(ConfigError, match=message):
+        save_table(small_table, path, delimiter)
+    assert not path.exists()
+    for read in (load_table, _load_csv):
+        with pytest.raises(ConfigError, match=message):
+            read(path, small_table.schema, delimiter)
+
+
+_CELLS = st.text(alphabet='ab;,.\t" \r\n', max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    width=st.integers(1, 3),
+    cells=st.lists(_CELLS, max_size=30),
+    delimiter=st.sampled_from([";", ",", "\t", ".", " ", '"', "a"]),
+    chunk=st.integers(1, 4),
+)
+def test_csv_writer_matches_the_csv_module(width, cells, delimiter, chunk, tmp_path_factory):
+    """_write_csv over _csv_cells writes csv.writer's bytes, for any cell
+    text, lone empty cells included, in chunks of any size."""
+    rows = [cells[i:i + width] for i in range(0, len(cells) - width + 1, width)]
+    header, body = (rows[0], rows[1:]) if rows else ([""] * width, [])
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf, delimiter=delimiter)
+    writer.writerow(header)
+    writer.writerows(body)
+    chunks = [
+        [_csv_cells(list(col), delimiter) for col in zip(*body[s:s + chunk])]
+        for s in range(0, len(body), chunk)
+    ]
+    path = tmp_path_factory.mktemp("writer") / "cells.csv"
+    _write_csv(path, _csv_cells(header, delimiter), chunks, delimiter)
+    assert path.read_bytes() == buf.getvalue().encode("utf-8")
 
 
 def _row_writer_bytes(table, delimiter) -> bytes:

@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pocause import (
@@ -759,6 +759,59 @@ def test_malformed_spec_numbers_name_their_field(base, path, value, field):
     target[path[-1]] = value
     with pytest.raises(ConfigError, match=f"^{re.escape(field)} must be"):
         scm_from_dict(obj)
+
+
+@pytest.mark.parametrize("value", [[None, "1"], [10**30, "2"]], ids=["none", "huge-int"])
+def test_a_numeric_string_in_an_object_array_is_rejected(value):
+    """None or an integer past int64 gives the list numpy's object dtype;
+    a string beside it is still rejected, not parsed."""
+    obj = json.load(open(packaged_spec_path("lexi2"), encoding="utf-8"))
+    obj["mean"]["intercept"] = value
+    with pytest.raises(ConfigError, match="^intercept must be numbers in a rectangular array"):
+        scm_from_dict(obj)
+
+
+_LADDER_VALUES = st.one_of(
+    st.sampled_from([
+        0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, -1.0,
+        1.7976931348623157e308, -1.7976931348623157e308,
+    ]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _ladders(draw):
+    """An ascending ladder of 1 to 80 values drawn, with repeats, from a
+    pool: small numbers, or any finite ones with the extremes, zeros of
+    both signs and subnormals, so some spans overflow or underflow."""
+    values = draw(st.sampled_from([st.floats(-4.0, 4.0), _LADDER_VALUES]))
+    pool = draw(st.lists(values, min_size=1, max_size=80))
+    n = draw(st.integers(1, 80))
+    return np.sort(np.array(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))))
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    ladder=_ladders(),
+    extra=st.lists(st.one_of(_LADDER_VALUES, st.floats()), max_size=40),
+    side=st.sampled_from(["left", "right"]),
+)
+@example(ladder=np.full(20, 0.5), extra=[], side="right")
+@example(ladder=np.full(20, -0.0), extra=[0.0], side="left")
+@example(ladder=np.linspace(0.0, 1.0, 16), extra=[float("nan")], side="right")
+def test_ladder_search_is_searchsorted(ladder, extra, side):
+    """The bucketed search gives numpy's answer for every key: the ladder's
+    own values and their float neighbours, +-inf, NaN (sorted last) and
+    drawn floats."""
+    with np.errstate(over="ignore"):
+        up, down = np.nextafter(ladder, np.inf), np.nextafter(ladder, -np.inf)
+    keys = np.concatenate([
+        ladder, up, down, [np.inf, -np.inf, np.nan, 0.0, -0.0], np.array(extra, dtype=float),
+    ])
+    got = scm._ladder_search(ladder, keys, side)
+    assert got.dtype == np.intp
+    np.testing.assert_array_equal(got, np.searchsorted(ladder, keys, side))
 
 
 def _tabular_spec(x_levels, c_levels, cuts, n_outcomes, coupling):
