@@ -37,7 +37,7 @@ from .errors import ConfigError, DataError, MissingValueError, PocError, SchemaE
 ROLES = ("outcome", "treatment", "covariate", "ignored")
 KINDS = ("numeric", "categorical")
 MISSING_TOKENS = ("", "NA", "?")
-_SAVE_CHUNK_ROWS = 8192  # rows per join and write; bounds the cell strings held at once
+_SAVE_CHUNK_ROWS = 2048  # rows per join and write; bounds the cell strings held at once
 
 
 @dataclass(frozen=True)
