@@ -338,14 +338,18 @@ def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _check_delimiter(delimiter) -> None:
-    """Reject a delimiter the csv module cannot use, or a line break, which
-    would split every row into lines, before any file is opened."""
+    """Reject, before any file is opened, a delimiter the csv module cannot
+    use, and two it reads back wrong: a line break splits every row into
+    lines, and the quote character merges quoted cells with their
+    neighbours."""
     try:
         csv.reader([], delimiter=delimiter)
     except TypeError:
         raise ConfigError(f"delimiter must be one character, got {delimiter!r}") from None
     if delimiter in "\r\n":
         raise ConfigError(f"delimiter must not be a line break, got {delimiter!r}")
+    if delimiter == '"':
+        raise ConfigError(f"delimiter must not be the quote character, got {delimiter!r}")
 
 
 def load_table(path, schema: TableSchema, delimiter: str = ";") -> DataTable:

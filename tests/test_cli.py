@@ -388,11 +388,17 @@ def test_multi_character_delimiter_is_a_config_error(command, workdir, capsys):
     assert not sim.exists()
 
 
-@pytest.mark.parametrize("delimiter", ["\n", "\r"], ids=["lf", "cr"])
+@pytest.mark.parametrize(
+    "delimiter, what",
+    [("\n", "a line break"), ("\r", "a line break"), ('"', "the quote character")],
+    ids=["lf", "cr", "quote"],
+)
 @pytest.mark.parametrize("command", ["simulate", "estimate"])
-def test_line_break_delimiter_is_a_config_error(command, delimiter, workdir, capsys):
-    """A line-break delimiter would write a table that no reader splits
-    back into its rows; it is refused before any file is written."""
+def test_a_delimiter_no_reader_can_split_is_a_config_error(command, delimiter, what, workdir,
+                                                           capsys):
+    """A line break or the quote character as delimiter would write a table
+    that no reader splits back into its rows and cells; it is refused before
+    any file is written."""
     sim = workdir / "sim.csv"
     if command == "simulate":
         args = ["simulate", "--spec", "additive_scalar", "--n", "10", "--out", str(sim)]
@@ -402,7 +408,7 @@ def test_line_break_delimiter_is_a_config_error(command, delimiter, workdir, cap
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == {
         "type": "ConfigError",
-        "message": f"delimiter must not be a line break, got {delimiter!r}",
+        "message": f"delimiter must not be {what}, got {delimiter!r}",
     }
     assert not sim.exists()
 

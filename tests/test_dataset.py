@@ -341,12 +341,18 @@ def test_a_cell_past_the_csv_field_limit_is_a_data_error(kind, cell, write_csv):
         assert str(info.value) == f"{path}: line 3: field larger than field limit (131072)"
 
 
-@pytest.mark.parametrize("delimiter", ["\n", "\r"], ids=["lf", "cr"])
-def test_line_break_delimiters_are_rejected_before_any_file_opens(delimiter, small_table,
-                                                                  tmp_path):
-    """save_table under a line-break delimiter would write a file that
-    load_table cannot read back; both refuse it before opening a file."""
-    message = f"^delimiter must not be a line break, got {re.escape(repr(delimiter))}$"
+@pytest.mark.parametrize(
+    "delimiter, what",
+    [("\n", "a line break"), ("\r", "a line break"), ('"', "the quote character")],
+    ids=["lf", "cr", "quote"],
+)
+def test_delimiters_that_break_the_round_trip_are_rejected_before_any_file_opens(
+    delimiter, what, small_table, tmp_path
+):
+    """save_table under a line break or the quote character as delimiter
+    would write a file that load_table cannot read back, or reads back
+    wrong; both refuse it before opening a file."""
+    message = f"^delimiter must not be {what}, got {re.escape(repr(delimiter))}$"
     path = tmp_path / "saved.csv"
     with pytest.raises(ConfigError, match=message):
         save_table(small_table, path, delimiter)
