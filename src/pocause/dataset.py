@@ -593,6 +593,7 @@ def _write_csv(path, header: list[str], chunks, delimiter: str) -> None:
         for columns in chain([[[cell] for cell in header]], chunks):
             if len(columns) == 1:
                 columns = [[cell or '""' for cell in columns[0]]]
-            rows = list(map(delimiter.join, zip(*columns)))
+            # csv.writer ends a row of no cells too; only a header can be one.
+            rows = list(map(delimiter.join, zip(*columns))) if columns else [""]
             if rows:
                 fh.write("\r\n".join(rows) + "\r\n")

@@ -406,6 +406,13 @@ def _row_writer_bytes(table, delimiter) -> bytes:
     return buf.getvalue().encode("utf-8")
 
 
+def test_a_table_without_columns_saves_one_empty_header_row(tmp_path):
+    table = DataTable(schema=TableSchema((Variable("z", "ignored"),)), columns={})
+    path = tmp_path / "empty.csv"
+    save_table(table, path)
+    assert path.read_bytes() == _row_writer_bytes(table, ";") == b"\r\n"
+
+
 _EDGE_FLOATS = st.sampled_from([
     0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
     1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1e16, 1e-7,
