@@ -99,8 +99,8 @@ def fit_logistic(features, labels, *, ridge: float = 0.0) -> LogisticModel:
         raise ConfigError("features must be finite")
     if not np.all((y == 0.0) | (y == 1.0)):
         raise ConfigError("labels must be 0/1")
-    if ridge < 0:
-        raise ConfigError(f"ridge must be >= 0, got {ridge}")
+    if not 0 <= ridge < np.inf:
+        raise ConfigError(f"ridge must be finite and >= 0, got {ridge}")
 
     mean_y = float(y.mean())
     if mean_y == 0.0 or mean_y == 1.0:

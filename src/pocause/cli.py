@@ -38,7 +38,13 @@ from .errors import (
     SeparationError,
     SingularError,
 )
-from .estimands import EstimatorConfig, estimate_with_interval, load_query, query_as_dict
+from .estimands import (
+    DEFAULT_ATOM_TOL,
+    EstimatorConfig,
+    estimate_with_interval,
+    load_query,
+    query_as_dict,
+)
 from .scm import _trajectory_grid, export_trajectories, load_scm, simulate, validate_spec
 from .student import VARIANTS, format_student_report, reproduce_student
 
@@ -213,8 +219,8 @@ def _add_estimator_args(sub, default_method: str) -> None:
     )
     sub.add_argument("--ridge", type=float, default=0.0,
                      help="ridge penalty on logistic slopes (default 0)")
-    sub.add_argument("--atom-tol", type=float, default=1e-9,
-                     help="mass below this counts as no atom (default 1e-9)")
+    sub.add_argument("--atom-tol", type=float, default=DEFAULT_ATOM_TOL,
+                     help=f"mass below this counts as no atom (default {DEFAULT_ATOM_TOL:g})")
 
 
 def build_parser() -> argparse.ArgumentParser:

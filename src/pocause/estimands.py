@@ -147,8 +147,8 @@ def _given_evidence(hi, lo, evidence_strict, evidence_weak, atom_tol) -> tuple[f
             f"evidence strict CDF {ev_s} exceeds weak CDF {ev_w}; "
             "the estimator should have clipped this"
         )
-    if float(atom_tol) < 0:
-        raise ConfigError(f"atom_tol must be >= 0, got {atom_tol}")
+    if not 0 <= float(atom_tol) < np.inf:
+        raise ConfigError(f"atom_tol must be finite and >= 0, got {atom_tol}")
     beta = ev_w - ev_s
     if beta > atom_tol:
         alpha = min(hi, ev_w) - max(lo, ev_s)
@@ -373,10 +373,10 @@ class EstimatorConfig:
     def __post_init__(self):
         if self.method not in ("logistic", "empirical"):
             raise ConfigError(f"unknown estimator method {self.method!r}")
-        if self.ridge < 0:
-            raise ConfigError(f"ridge must be >= 0, got {self.ridge}")
-        if self.atom_tol < 0:
-            raise ConfigError(f"atom_tol must be >= 0, got {self.atom_tol}")
+        for name in ("ridge", "atom_tol"):
+            v = getattr(self, name)
+            if not 0 <= v < np.inf:
+                raise ConfigError(f"{name} must be finite and >= 0, got {v}")
 
 
 @dataclass(frozen=True)

@@ -106,11 +106,8 @@ def _match_rows(rows: np.ndarray, levels: np.ndarray, what: str) -> np.ndarray:
 
 
 def _check_distinct(rows: np.ndarray, what: str) -> None:
-    """Reject repeated rows, compared by value as _match_rows compares
-    them: adding 0.0 turns -0.0 into 0.0, after which equal finite values
-    have equal bytes. (Bytes, not tuples of floats, keep a large support's
-    check from raising the peak memory.)"""
-    if len({row.tobytes() for row in rows + 0.0}) != rows.shape[0]:
+    """Reject repeated rows, compared by value as _distinct_rows groups them."""
+    if _distinct_rows(rows)[0].shape[0] != rows.shape[0]:
         raise ConfigError(f"{what} contains duplicate rows")
 
 
@@ -258,9 +255,7 @@ class TabularMean(_Piece):
     def __post_init__(self):
         xl = _matrix(self.x_levels, "x_levels")
         cl = _floats([] if self.c_levels is None else self.c_levels, "c_levels")
-        cl = cl if cl.size or cl.shape[0] else np.zeros((1, 0))
-        if cl.ndim != 2:
-            raise ConfigError(f"c_levels must be 2-d, got shape {cl.shape}")
+        cl = _matrix(cl if cl.size or cl.shape[0] else np.zeros((1, 0)), "c_levels")
         lv = _matrix(self.levels, "levels")
         cuts = _floats(self.cuts, "cuts")
         n_states = lv.shape[0]
@@ -296,10 +291,6 @@ class TabularMean(_Piece):
     @property
     def n_covariates(self) -> int:
         return self.c_levels.shape[1]
-
-    @property
-    def n_states(self) -> int:
-        return self.levels.shape[0]
 
     def outcome(self, X: np.ndarray, C: np.ndarray, u: np.ndarray) -> np.ndarray:
         """The level row of each latent u. X and C are each row-aligned
@@ -378,11 +369,8 @@ class GaussianDiag(_Piece):
 class Additive(_Piece):
     """Latent enters as-is: monotone by construction."""
 
-    def sign(self, X: np.ndarray) -> np.ndarray:
-        return np.ones(X.shape[0])
-
-    def u_transform(self, X: np.ndarray, u: np.ndarray) -> np.ndarray:
-        return u
+    def flipped(self, X: np.ndarray) -> np.ndarray:
+        return np.zeros(X.shape[0], dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -405,12 +393,9 @@ class NonMonotoneTest(_Piece):
             raise ConfigError(f"flip_at must be finite, got {self.flip_at!r}")
         object.__setattr__(self, "flip_at", f)
 
-    def sign(self, X: np.ndarray) -> np.ndarray:
-        return np.where(X[:, 0] >= self.flip_at, -1.0, 1.0)
-
-    def u_transform(self, X: np.ndarray, u: np.ndarray) -> np.ndarray:
-        flipped = X[:, 0] >= self.flip_at
-        return np.where(flipped[:, None] if u.ndim == 2 else flipped, 1.0 - u, u)
+    def flipped(self, X: np.ndarray) -> np.ndarray:
+        """Which treatment rows have reached flip_at."""
+        return X[:, 0] >= self.flip_at
 
 
 @dataclass(frozen=True)
@@ -536,28 +521,31 @@ class ScmSpec(_Piece):
             cl = self.policy.covariate_logits
             if cl is not None and cl.shape[1] != m.n_covariates:
                 raise ConfigError("covariate_logits columns must match the covariates")
-        if isinstance(m, TabularMean):
-            if not isinstance(self.noise, UniformBox) or self.noise.dimension != 1 \
-                    or self.noise.lo[0] != 0.0 or self.noise.hi[0] != 1.0:
-                raise ConfigError(
-                    "a tabular mechanism needs scalar uniform_box noise on (0, 1)"
-                )
-            _match_rows(self.policy.support, m.x_levels, "policy support")
-            if self.covariates is not None:
-                _match_rows(self.covariates.support, m.c_levels, "covariate support")
-        else:
-            if self.noise.dimension != m.n_outcomes:
-                raise ConfigError(
-                    f"noise is {self.noise.dimension}-dimensional, "
-                    f"outcomes are {m.n_outcomes}-dimensional"
-                )
         order = self.order
         if order is not None and order.dimension != m.n_outcomes:
             raise ConfigError(
                 f"order is over {order.dimension} components, "
                 f"outcomes have {m.n_outcomes}"
             )
-        if isinstance(m, TabularMean):
+        if isinstance(m, LinearMean):
+            if self.noise.dimension != m.n_outcomes:
+                raise ConfigError(
+                    f"noise is {self.noise.dimension}-dimensional, "
+                    f"outcomes are {m.n_outcomes}-dimensional"
+                )
+        else:
+            if not isinstance(self.noise, UniformBox) or self.noise.dimension != 1 \
+                    or self.noise.lo[0] != 0.0 or self.noise.hi[0] != 1.0:
+                raise ConfigError(
+                    "a tabular mechanism needs scalar uniform_box noise on (0, 1)"
+                )
+            # An undeclared support row is a fault of the spec, not of a query.
+            try:
+                _match_rows(self.policy.support, m.x_levels, "policy support")
+                if self.covariates is not None:
+                    _match_rows(self.covariates.support, m.c_levels, "covariate support")
+            except NoSupportError as exc:
+                raise ConfigError(str(exc)) from None
             late = np.flatnonzero(
                 compare(m.levels[:-1], m.levels[1:], self.outcome_order) != Ordering.LESS
             )
@@ -584,30 +572,37 @@ class ScmSpec(_Piece):
     def outcome_order(self) -> OrderSpec:
         return self.order if self.order is not None else lexicographic_default(self.n_outcomes)
 
-    def outcomes(self, X: np.ndarray, C: np.ndarray, U: np.ndarray) -> np.ndarray:
-        """Structural response at each latent row of U. X and C are each
-        row-aligned with U or one row for every latent; any other row
-        count is a ConfigError.
+    def outcomes(self, X, C, U: np.ndarray) -> np.ndarray:
+        """Structural response Y(x) at each latent row of U. X and C are
+        each one row, which may be flat (() for no covariates), or one row
+        per latent; any other row count, or a row of the wrong width, is a
+        ConfigError.
 
-        A tabular mechanism reads one cut row when X and C are both one
-        row. A linear one broadcasts them to U's rows first: a one-row
-        product can differ in the last bit from the same row's product in
-        an n-row one.
+        Where the coupling flips, a tabular mechanism reads its cut table
+        at 1 - u and a linear one gives mean - U. A tabular mechanism reads
+        one cut row when X and C are both one row. A linear one broadcasts
+        them to U's rows first: a one-row product can differ in the last
+        bit from the same row's product in an n-row one.
         """
-        X = np.asarray(X, dtype=float)
-        C = np.asarray(C, dtype=float)
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        C = np.atleast_2d(np.asarray(C, dtype=float))
         U = np.asarray(U, dtype=float)
         n = U.shape[0]
-        for role, M in (("treatment", X), ("covariate", C)):
+        for role, M, width in (("treatment", X, self.n_treatments),
+                               ("covariate", C, self.n_covariates)):
             if M.shape[0] not in (1, n):
                 raise ConfigError(f"{role} rows: got {M.shape[0]}, need 1 or {n} (one per latent)")
+            if M.shape[1] != width:
+                raise ConfigError(f"{role} rows have {M.shape[1]} columns, need {width}")
+        flip = self.coupling.flipped(X)
         if isinstance(self.mean, TabularMean):
-            u_eff = self.coupling.u_transform(X, U[:, 0])
-            return self.mean.outcome(X, C, u_eff)
-        X = np.broadcast_to(X, (n, X.shape[1]))
-        C = np.broadcast_to(C, (n, C.shape[1]))
-        mu = self.mean.value(X, C)
-        return mu + self.coupling.sign(X)[:, None] * U
+            u = U[:, 0]
+            return self.mean.outcome(X, C, np.where(flip, 1.0 - u, u) if flip.any() else u)
+        mu = self.mean.value(np.broadcast_to(X, (n, X.shape[1])),
+                             np.broadcast_to(C, (n, C.shape[1])))
+        if flip.any():
+            U = np.where(flip[:, None], -U, U)  # mu + -U is mu - U, bit for bit
+        return mu + U
 
 
 _PIECES = {
@@ -773,14 +768,6 @@ def _latents(spec: ScmSpec, n, seed: int, stream: int) -> np.ndarray:
     return spec.noise.sample(n, derived_rng(seed, stream))
 
 
-def _outcomes_at(spec: ScmSpec, x, c, U: np.ndarray) -> np.ndarray:
-    """Y(x) at covariates c for every latent row of U, with x and c passed
-    as one row each, so a tabular mechanism searches one cut row."""
-    return spec.outcomes(
-        np.asarray(x, dtype=float).reshape(1, -1), np.asarray(c, dtype=float).reshape(1, -1), U
-    )
-
-
 @dataclass(frozen=True)
 class OracleResult:
     """An event's probability and, from the same draws, the probability of
@@ -803,7 +790,7 @@ def _oracle_result(
     ok = np.ones(U.shape[0], dtype=bool)
     clause_values = []
     for clause in event.clauses:
-        y = _outcomes_at(spec, clause.x, c, U)
+        y = spec.outcomes(clause.x, c, U)
         below = at_least = True
         if clause.below is not None:
             below = indicator_below(y, clause.below, order)[0]
@@ -865,9 +852,10 @@ def oracle_evidence(
         )
 
     if isinstance(spec.mean, LinearMean):
-        mu = spec.mean.value(ev_x.reshape(1, -1), c_arr.reshape(1, -1))[0]
-        s = spec.coupling.sign(ev_x.reshape(1, -1))[0]
-        u_star = s * (ev_y - mu)
+        x_row = ev_x.reshape(1, -1)
+        u_star = ev_y - spec.mean.value(x_row, c_arr.reshape(1, -1))[0]
+        if spec.coupling.flipped(x_row)[0]:
+            u_star = -u_star
         if not spec.noise.contains(u_star):
             raise NoSupportError(
                 "the observed outcome cannot occur under this mechanism "
@@ -876,7 +864,7 @@ def oracle_evidence(
         return _oracle_result(spec, event, c_arr, u_star.reshape(1, -1), 1, exact=True)
 
     U = _latents(spec, n_mc, seed, _STREAM_ORACLE_EVIDENCE)
-    Yx = _outcomes_at(spec, ev_x, c_arr, U)
+    Yx = spec.outcomes(ev_x, c_arr, U)
     match = np.max(np.abs(Yx - ev_y), axis=1) <= atom_tol
     if not match.any():
         raise NoSupportError(
@@ -946,7 +934,7 @@ def check_monotonicity(
     for x in chain.from_iterable(pairs):
         if key(x) not in rank:
             # Only the ranks of each Y(x) outlive its ranking.
-            rank[key(x)] = _threshold_ranks(_outcomes_at(spec, x, c, U), ladder, order)
+            rank[key(x)] = _threshold_ranks(spec.outcomes(x, c, U), ladder, order)
     below = {k: at_most(r) for k, r in rank.items()}
     flips = np.empty((len(pairs), n_t), dtype=np.int64)
     for i, (xa, xb) in enumerate(pairs):
@@ -1012,7 +1000,7 @@ def monotonicity_probe(
         raise ConfigError("need n_pilot >= n_thresholds >= 1")
     c, U = _reference_c(spec), _latents(spec, n_pilot, seed, _STREAM_PROBE)
     pool = _sorted_rows(
-        np.vstack([_outcomes_at(spec, x, c, U) for x in spec.policy.support]), spec.outcome_order
+        np.vstack([spec.outcomes(x, c, U) for x in spec.policy.support]), spec.outcome_order
     )
     picks = np.linspace(0, pool.shape[0] - 1, n_thresholds).round().astype(int)
     return [tuple(row) for row in pool[picks]], _support_pairs(spec)
@@ -1037,28 +1025,20 @@ def export_trajectories(
     skipped), so monotone worlds report 0 and the flip construction shows
     one crossing per pair.
     """
-    grid, n_u = _trajectory_sizes(spec, x_grid, n_u)
-    U = _latents(spec, n_u, seed, _STREAM_TRAJECTORIES)
-    c = _reference_c(spec) if c is None else c
-    curves = np.stack([_outcomes_at(spec, x, c, U) for x in grid], axis=1)
-    return TrajectorySet(
-        x_grid=grid, u_values=U, outcomes=curves,
-        crossing_count=_crossing_count(curves, spec.outcome_order),
-    )
-
-
-def _trajectory_sizes(spec: ScmSpec, x_grid, n_u) -> tuple[np.ndarray, int]:
-    """The treatment grid as rows and the curve count, once both are known
-    to be large enough to trace and compare."""
     grid = np.atleast_2d(np.asarray(x_grid, dtype=float))
     if grid.shape[1] != spec.n_treatments or grid.shape[0] < 2:
         raise ConfigError(
             f"need a grid of at least 2 treatment rows with {spec.n_treatments} columns"
         )
-    n_u = int(n_u)
-    if n_u < 2:
+    if int(n_u) < 2:
         raise ConfigError("need at least two latent draws to compare")
-    return grid, n_u
+    U = _latents(spec, n_u, seed, _STREAM_TRAJECTORIES)
+    c = _reference_c(spec) if c is None else c
+    curves = np.stack([spec.outcomes(x, c, U) for x in grid], axis=1)
+    return TrajectorySet(
+        x_grid=grid, u_values=U, outcomes=curves,
+        crossing_count=_crossing_count(curves, spec.outcome_order),
+    )
 
 
 def _crossing_count(curves: np.ndarray, order: OrderSpec) -> int:
@@ -1092,7 +1072,7 @@ def _trajectory_grid(spec: ScmSpec, size: int) -> np.ndarray:
         levels = spec.mean.x_levels
         return _sorted_rows(levels, lexicographic_default(levels.shape[1]))
     sup = spec.policy.support
-    # A size below 2 gives too few rows, which _trajectory_sizes rejects.
+    # A size below 2 gives too few rows, which export_trajectories rejects.
     return np.linspace(sup.min(axis=0), sup.max(axis=0), max(size, 0))
 
 
@@ -1117,10 +1097,12 @@ def validate_spec(
     check that raises a PocError is recorded as failed.
     """
     nonmono = isinstance(spec.coupling, NonMonotoneTest)
-    # The trajectory sizes fail fast, not after every oracle has run.
-    traj_grid, n_u = _trajectory_sizes(spec, _trajectory_grid(spec, grid), n_u)
-    table = simulate(spec, n, seed)
     c = _reference_c(spec)
+    # The trajectories come first, so a bad grid or n_u fails before any
+    # oracle runs; their latent stream is independent of the others.
+    traj = export_trajectories(spec, _trajectory_grid(spec, grid), c=c, n_u=n_u, seed=seed)
+    crossings, n_u = traj.crossing_count, traj.u_values.shape[0]
+    table = simulate(spec, n, seed)
     thresholds, pairs = monotonicity_probe(spec, n_thresholds=50, n_pilot=4000, seed=seed)
     sup = spec.policy.support
     n_levels = sup.shape[0]
@@ -1175,7 +1157,6 @@ def validate_spec(
     # fire on a nonmonotone spec and stay silent on a monotone one.
     report = check_monotonicity(spec, thresholds, pairs, c=c, n_mc=n_mc, seed=seed)
     violation = report.max_violation
-    crossings = export_trajectories(spec, traj_grid, c=c, n_u=n_u, seed=seed).crossing_count
     if nonmono:
         check(
             "monotonicity_alarm", "pass" if violation >= ALARM_MIN else "fail",
@@ -1214,7 +1195,7 @@ def validate_spec(
             else:
                 u_star = noise.lo + 0.3 * (noise.hi - noise.lo)
             x_ev = tuple(sup[n_levels // 2])
-            y_ev = tuple(_outcomes_at(spec, x_ev, c, u_star.reshape(1, -1))[0])
+            y_ev = tuple(spec.outcomes(x_ev, c, u_star.reshape(1, -1))[0])
         q_ev = query("pns_evidence", [y_mid], [x0, x1], Evidence(y=y_ev, x=x_ev))
         [(est, boot)] = estimate_with_interval(
             table, [q_ev], config, n_boot=200 if tabular else 0, seed=seed

@@ -976,3 +976,11 @@ def test_sigmoid_matches_the_masked_version_bit_for_bit(scale):
     new, old = cdf._sigmoid(eta), _masked_sigmoid(eta)
     assert new.dtype == old.dtype == np.float64
     assert new.tobytes() == old.tobytes()
+
+
+@pytest.mark.parametrize("ridge", [float("nan"), float("inf"), -1.0])
+def test_fit_logistic_rejects_a_non_finite_or_negative_ridge(ridge):
+    x = np.array([[0.0], [1.0], [2.0], [3.0]])
+    y = np.array([0.0, 1.0, 0.0, 1.0])
+    with pytest.raises(ConfigError, match=f"^ridge must be finite and >= 0, got {ridge}$"):
+        fit_logistic(x, y, ridge=ridge)

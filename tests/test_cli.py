@@ -1,13 +1,14 @@
 import csv
 import io
 import json
+import math
 from pathlib import Path
 
 import jsonschema
 import pytest
 
-from pocause import cdf, export_trajectories, load_scm, packaged_spec_path
-from pocause.cli import main
+from pocause import cdf, export_trajectories, load_scm, packaged_query_path, packaged_spec_path
+from pocause.cli import build_parser, main
 from pocause.scm import _trajectory_grid
 
 SMALL_CSV = "\n".join(
@@ -648,3 +649,56 @@ def test_string_threshold_is_a_config_error(simulated, tmp_path, capsys):
     assert main(["estimate", "--data", str(csv), "--schema", str(schema),
                  "--query", str(query)]) == 2
     assert _config_error_message(capsys) == "threshold must be a list of numbers, got '12'"
+
+
+@pytest.mark.parametrize(
+    "section, key, value, message",
+    [
+        pytest.param("policy", "support", [[1.0], [3.0]],
+                     "policy support value [3.0] is not a declared level", id="policy-support"),
+        pytest.param("covariates", "support", [[0.0], [2.0]],
+                     "covariate support value [2.0] is not a declared level",
+                     id="covariate-support"),
+        pytest.param("mean", "c_levels", [[0.0], [math.inf]],
+                     "c_levels contains non-finite entries", id="infinite-c-level"),
+        pytest.param("mean", "c_levels", [[math.nan], [math.nan]],
+                     "c_levels contains non-finite entries", id="nan-c-levels"),
+    ],
+)
+def test_a_tabular_spec_that_contradicts_itself_is_a_config_error(
+    section, key, value, message, tmp_path, capsys
+):
+    """A support row the tabular mechanism does not declare, or a
+    non-finite covariate level, is a fault of the spec: exit 2 at load,
+    not a missing-support exit 4 once simulation asks for the row."""
+    obj = json.loads(packaged_spec_path("tabular").read_text(encoding="utf-8"))
+    obj[section][key] = value
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(obj), encoding="utf-8")
+    code = main([
+        "simulate", "--spec", str(spec), "--n", "10", "--out", str(tmp_path / "sim.csv"),
+    ])
+    assert code == 2
+    assert _config_error_message(capsys) == message
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("flag, what", [("--atom-tol", "atom_tol"), ("--ridge", "ridge")])
+def test_a_non_finite_estimator_tolerance_is_a_config_error(flag, what, value, simulated, capsys):
+    """A NaN --atom-tol would count every atom as none and answer 0 with
+    exit 0; a non-finite --ridge would fail later, naming the CDF values."""
+    csv, schema = simulated["tabular"]
+    code = main([
+        "estimate", "--data", str(csv), "--schema", str(schema),
+        "--query", str(packaged_query_path("tabular_evidence")), "--estimator", "empirical",
+        flag, value,
+    ])
+    assert code == 2
+    assert _config_error_message(capsys) == f"{what} must be finite and >= 0, got {value}"
+
+
+def test_the_atom_tol_default_is_the_library_default():
+    from pocause.estimands import DEFAULT_ATOM_TOL
+
+    args = build_parser().parse_args(["estimate", "--data", "d", "--schema", "s", "--query", "q"])
+    assert args.atom_tol == DEFAULT_ATOM_TOL

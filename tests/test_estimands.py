@@ -448,3 +448,20 @@ def test_strings_are_not_number_lists(payload, message):
     with pytest.raises(ConfigError) as info:
         query_from_dict(payload)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+@pytest.mark.parametrize("field", ["ridge", "atom_tol"])
+def test_estimator_config_rejects_a_non_finite_or_negative_setting(field, value):
+    with pytest.raises(ConfigError, match=f"^{field} must be finite and >= 0, got {value}$"):
+        EstimatorConfig(**{field: value})
+
+
+@pytest.mark.parametrize("atom_tol", [float("nan"), float("inf")])
+def test_evidence_formulas_reject_a_non_finite_atom_tol(atom_tol):
+    """A NaN tolerance would send every observation to the no-atom case."""
+    message = f"^atom_tol must be finite and >= 0, got {atom_tol}$"
+    with pytest.raises(ConfigError, match=message):
+        pns_evidence_point(0.5, 0.2, 0.0, 0.5, atom_tol=atom_tol)
+    with pytest.raises(ConfigError, match=message):
+        pns_multi_evidence_point([0.5], [0.2], 0.0, 0.5, atom_tol=atom_tol)

@@ -1,4 +1,6 @@
+import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -54,3 +56,29 @@ def test_demo_runs(demo, tmp_path):
     )}
     result = subprocess.run(args, capture_output=True, text=True, cwd=tmp_path, env=env)
     assert result.returncode == 0, result.stderr
+
+
+def test_every_third_party_import_is_a_declared_dependency():
+    """Each module the tests and demos import, other than the standard
+    library, pocause and the test modules themselves, is named in the
+    project's dependencies or its test extra."""
+    if sys.version_info < (3, 11):
+        pytest.skip("reading pyproject.toml needs tomllib, new in Python 3.11")
+    import tomllib
+
+    root = Path(__file__).parent.parent
+    tests = sorted(root.joinpath("tests").glob("*.py"))
+    imported = set()
+    for path in tests + DEMOS:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"pocause"} - {p.stem for p in tests}
+    project = tomllib.loads(root.joinpath("pyproject.toml").read_text(encoding="utf-8"))["project"]
+    declared = {
+        re.match(r"[A-Za-z0-9._-]+", requirement)[0].lower().replace("-", "_")
+        for requirement in project["dependencies"] + project["optional-dependencies"]["test"]
+    }
+    assert sorted(third_party - declared) == []

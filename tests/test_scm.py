@@ -513,7 +513,7 @@ def _cached_monotonicity(spec, thresholds, pairs, n_mc, seed):
     """check_monotonicity as a double loop over pairs and thresholds, one
     cached strict indicator per (x, threshold): the reference the
     threshold-by-threshold check must match."""
-    from pocause.scm import MonotonicityReport, _STREAM_MONOTONICITY, _outcomes_at
+    from pocause.scm import MonotonicityReport, _STREAM_MONOTONICITY
     from pocause.scm import _latents, _reference_c
     from pocause.ordering import indicator_below
 
@@ -524,7 +524,7 @@ def _cached_monotonicity(spec, thresholds, pairs, n_mc, seed):
     def at(x):
         key = np.asarray(x, dtype=float).tobytes()
         if key not in outcomes:
-            outcomes[key] = _outcomes_at(spec, x, _reference_c(spec), U)
+            outcomes[key] = spec.outcomes(x, _reference_c(spec), U)
         return outcomes[key]
 
     cache = {}
@@ -886,12 +886,14 @@ def test_one_row_tabular_outcomes_equal_row_aligned_ones(case):
     spec, U, rng = case
     mean = spec.mean
     n = U.shape[0]
+    u = U[:, 0]
+    flip_at = getattr(spec.coupling, "flip_at", np.inf)  # additive: no row flips
     for x in mean.x_levels:
         for c in mean.c_levels:
             X, C = np.repeat(x[None], n, axis=0), np.repeat(c[None], n, axis=0)
             one = spec.outcomes(x[None], c[None], U)
             aligned = spec.outcomes(X, C, U)
-            u_eff = spec.coupling.u_transform(X, U[:, 0])
+            u_eff = np.where(X[:, 0] >= flip_at, 1.0 - u, u)
             assert one.dtype == aligned.dtype and one.shape == (n, spec.n_outcomes)
             assert one.tobytes() == aligned.tobytes()
             assert one.tobytes() == _old_tabular_outcome(mean, X, C, u_eff).tobytes()
@@ -902,7 +904,7 @@ def test_one_row_tabular_outcomes_equal_row_aligned_ones(case):
                 Xf = np.broadcast_to(Xa, (n, Xa.shape[1]))
                 Cf = np.broadcast_to(Ca, (n, Ca.shape[1]))
                 expected = _old_tabular_outcome(
-                    mean, Xf, Cf, spec.coupling.u_transform(Xf, U[:, 0]))
+                    mean, Xf, Cf, np.where(Xf[:, 0] >= flip_at, 1.0 - u, u))
                 assert spec.outcomes(Xa, Ca, U).tobytes() == expected.tobytes()
                 by_row = [spec.outcomes(Xf[i:i + 1], Cf[i:i + 1], U[i:i + 1])[0] for i in range(n)]
                 assert np.array(by_row).reshape(n, -1).tobytes() == expected.tobytes()
@@ -1021,7 +1023,8 @@ def test_one_row_linear_outcomes_are_the_broadcast_rows(seed, shape, flip):
     U = rng.normal(size=(n, n_y))
     x, c = rng.normal(size=n_x), rng.normal(size=n_c)
     X, C = np.broadcast_to(x, (n, n_x)), np.broadcast_to(c, (n, n_c))
-    want = mean.value(X, C) + spec.coupling.sign(X)[:, None] * U
+    sign = np.where(X[:, 0] >= 0.0, -1.0, 1.0) if flip else np.ones(n)
+    want = mean.value(X, C) + sign[:, None] * U
     assert spec.outcomes(x[None], c[None], U).tobytes() == want.tobytes()
     assert spec.outcomes(X, C, U).tobytes() == want.tobytes()
 
@@ -1104,3 +1107,42 @@ def test_outcomes_reject_rows_that_match_neither_one_nor_the_latents(name, role)
     X, C = (np.repeat(x, 2, axis=0), c) if role == "treatment" else (x, np.repeat(c, 2, axis=0))
     with pytest.raises(ConfigError, match=f"^{role} rows: got 2, need 1 or 3 "):
         spec.outcomes(X, C, U)
+
+
+@pytest.mark.parametrize("name", ["additive_scalar", "lexi2", "nonmono", "tabular"])
+def test_outcomes_take_flat_rows_and_check_their_widths(name):
+    """One treatment row and one covariate row may be flat, tuples and ()
+    included, with the bytes of the 2-d one-row call. A row one column too
+    wide, flat or 2-d, is a ConfigError naming its role, for a linear
+    mechanism as for a tabular one."""
+    spec = _spec(name)
+    U = spec.noise.sample(50, np.random.default_rng(5))
+    c = scm._reference_c(spec)
+    for x in spec.policy.support:
+        want = spec.outcomes(x[None], np.asarray(c, dtype=float).reshape(1, -1), U)
+        for xa, ca in ((tuple(x), c), (x, np.asarray(c, dtype=float)), (list(x), list(c))):
+            assert spec.outcomes(xa, ca, U).tobytes() == want.tobytes()
+    x = tuple(spec.policy.support[0])
+    for role, xa, ca, need in (("treatment", x + (0.0,), c, len(x)),
+                               ("covariate", x, c + (0.0,), len(c))):
+        message = f"^{role} rows have {need + 1} columns, need {need}$"
+        for X, C in ((xa, ca), ([xa], [ca])):
+            with pytest.raises(ConfigError, match=message):
+                spec.outcomes(X, C, U)
+
+
+@pytest.mark.parametrize("name", ["additive_scalar", "lexi2", "nonmono"])
+def test_pinned_latent_oracle_scores_the_latent_behind_the_evidence(name):
+    """A linear mechanism's evidence oracle inverts Y(x') = y' to the one
+    latent that produced it, on the flipped side of nonmono too: at each
+    threshold it scores the flip event as that latent does."""
+    spec = _spec(name)
+    c = scm._reference_c(spec)
+    u = (spec.noise.mean + 0.7 * spec.noise.sd)[None]  # every linear bundled model is gaussian
+    xs = [tuple(spec.policy.support[0]), tuple(spec.policy.support[-1])]
+    for x_ev in map(tuple, spec.policy.support):
+        y_ev = spec.outcomes(x_ev, c, u)[0]
+        for t in np.linspace(-2.0, 2.0, 9):
+            ts = [(t,) * spec.n_outcomes]
+            want = scm._oracle_result(spec, flip_event(ts, xs), c, u, 1, exact=True)
+            assert oracle_evidence(spec, ts, xs, y_ev, x_ev, c) == want
