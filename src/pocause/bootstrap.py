@@ -19,7 +19,8 @@ a finding about the data.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import itertools
+import threading
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -137,7 +138,9 @@ def bootstrap(
     error itself; that counts as a failure of that value on that replicate
     only. The result is then a tuple of k BootstrapResults, each what the
     pipeline of that value alone would get, and its n_failures is their
-    total. DegenerateError means some value failed on every replicate.
+    total. DegenerateError means some value failed on every replicate. The
+    pipeline runs on at most threads threads, the calling one included, and
+    on no more than n_boot; the numbers do not depend on it.
     """
     n_boot, alpha, threads = interval_settings(n_boot, alpha, threads)
     first = pipeline(table)
@@ -162,11 +165,31 @@ def bootstrap(
             for v in (out if several else (out,))
         ]
 
-    if threads == 1:
-        outcomes = [replicate(b) for b in range(n_boot)]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(replicate, range(n_boot)))
+    # The calling thread takes replicates too, beside at most threads - 1
+    # helpers, in index order (next() on a count is atomic under the GIL).
+    # Once one fails no more are taken, but every lower-numbered one was, so
+    # the error raised is the lowest-numbered one's.
+    outcomes, claims, stop = [None] * n_boot, itertools.count(), threading.Event()
+
+    def work() -> None:
+        for b in claims:
+            if b >= n_boot or stop.is_set():
+                return
+            try:
+                outcomes[b] = replicate(b)
+            except Exception as exc:
+                outcomes[b] = exc
+                stop.set()
+
+    helpers = [threading.Thread(target=work) for _ in range(min(threads, n_boot) - 1)]
+    for helper in helpers:
+        helper.start()
+    work()
+    for helper in helpers:
+        helper.join()
+    for row in outcomes:
+        if isinstance(row, Exception):
+            raise row
 
     results = _Results(
         _summarize(point, [row[j] for row in outcomes], n_boot, alpha)

@@ -80,9 +80,10 @@ def fit_logistic(features, labels, *, ridge: float = 0.0) -> LogisticModel:
 
     Each step sums the gradient and the Hessian over blocks of _BLOCK_ROWS
     rows, in row order, so the fit is the same bit for bit whatever the
-    BLAS thread count; apart from the design matrix, a step keeps no array
-    over every row but the probabilities. A table of at most one block is
-    summed by one product each.
+    BLAS thread count. Beyond the design matrix and the labels (bool ones
+    stay bool), a fit holds one step's probabilities over every row: a step
+    frees the last step's before it computes its own. A table of at most
+    one block is summed by one product each.
 
     Raises SeparationError when the labels are all 0 or all 1 (the MLE
     intercept is infinite, ridge or not) and when the iterates walk off to
@@ -90,7 +91,8 @@ def fit_logistic(features, labels, *, ridge: float = 0.0) -> LogisticModel:
     weighted normal equations cannot be solved.
     """
     X = np.asarray(features, dtype=float)
-    y = np.asarray(labels, dtype=float).ravel()
+    y = np.asarray(labels)
+    y = (y if y.dtype == bool else np.asarray(y, dtype=float)).ravel()
     if X.ndim != 2:
         raise ConfigError(f"features must be 2-d, got shape {X.shape}")
     if X.shape[0] != y.shape[0]:
@@ -143,6 +145,7 @@ def fit_logistic(features, labels, *, ridge: float = 0.0) -> LogisticModel:
                 for (block, _), prob in zip(blocks, probs)
             ),
         ) + penalty_matrix
+        del probs  # the next step's probabilities replace these, not join them
         try:
             step = np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError as exc:
@@ -329,7 +332,7 @@ class LogisticCdf(_ThresholdCdf):
         fitted the first time the column is asked for."""
         key = np.packbits(below).tobytes()
         if key not in self._by_column:
-            self._by_column[key] = self._fit_column(below.astype(float))
+            self._by_column[key] = self._fit_column(below)
         return self._by_column[key]
 
     def _fit_column(self, labels: np.ndarray) -> tuple:

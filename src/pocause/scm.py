@@ -572,6 +572,16 @@ class ScmSpec(_Piece):
     def outcome_order(self) -> OrderSpec:
         return self.order if self.order is not None else lexicographic_default(self.n_outcomes)
 
+    def _check_rows(self, X: np.ndarray, C: np.ndarray, n: int) -> None:
+        """ConfigError unless the 2-d X and C each hold one row or n, of
+        this spec's treatment and covariate widths."""
+        for role, M, width in (("treatment", X, self.n_treatments),
+                               ("covariate", C, self.n_covariates)):
+            if M.shape[0] not in (1, n):
+                raise ConfigError(f"{role} rows: got {M.shape[0]}, need 1 or {n} (one per latent)")
+            if M.shape[1] != width:
+                raise ConfigError(f"{role} rows have {M.shape[1]} columns, need {width}")
+
     def outcomes(self, X, C, U: np.ndarray) -> np.ndarray:
         """Structural response Y(x) at each latent row of U. X and C are
         each one row, which may be flat (() for no covariates), or one row
@@ -588,12 +598,7 @@ class ScmSpec(_Piece):
         C = np.atleast_2d(np.asarray(C, dtype=float))
         U = np.asarray(U, dtype=float)
         n = U.shape[0]
-        for role, M, width in (("treatment", X, self.n_treatments),
-                               ("covariate", C, self.n_covariates)):
-            if M.shape[0] not in (1, n):
-                raise ConfigError(f"{role} rows: got {M.shape[0]}, need 1 or {n} (one per latent)")
-            if M.shape[1] != width:
-                raise ConfigError(f"{role} rows have {M.shape[1]} columns, need {width}")
+        self._check_rows(X, C, n)
         flip = self.coupling.flipped(X)
         if isinstance(self.mean, TabularMean):
             u = U[:, 0]
@@ -850,10 +855,11 @@ def oracle_evidence(
         raise ConfigError(
             f"evidence outcome has {ev_y.size} components, expected {spec.n_outcomes}"
         )
+    x_row, c_row = ev_x.reshape(1, -1), c_arr.reshape(1, -1)
+    spec._check_rows(x_row, c_row, 1)
 
     if isinstance(spec.mean, LinearMean):
-        x_row = ev_x.reshape(1, -1)
-        u_star = ev_y - spec.mean.value(x_row, c_arr.reshape(1, -1))[0]
+        u_star = ev_y - spec.mean.value(x_row, c_row)[0]
         if spec.coupling.flipped(x_row)[0]:
             u_star = -u_star
         if not spec.noise.contains(u_star):

@@ -1,4 +1,6 @@
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -164,6 +166,46 @@ def test_unexpected_errors_are_not_swallowed(small_table):
 
     with pytest.raises(ZeroDivisionError):
         bootstrap(small_table, buggy, n_boot=4, seed=0)
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_an_unexpected_error_is_the_lowest_numbered_replicates(small_table, threads):
+    """Replicates 3 and 5 fail with errors of their own, 3 after a pause
+    that lets 5 fail first on more than one thread: the error raised is
+    replicate 3's, at any thread count."""
+    n = small_table.n_rows
+    number = {derived_rng(4, b).integers(0, n, size=n).tobytes(): b for b in range(8)}
+    assert len(number) == 8
+
+    def buggy(table):
+        rows = table.origin()[1]
+        b = None if rows is None else number[rows.tobytes()]
+        if b == 3:
+            time.sleep(0.05)
+            raise ZeroDivisionError("replicate 3")
+        if b == 5:
+            raise KeyError("replicate 5")
+        return 0.5
+
+    with pytest.raises(ZeroDivisionError, match="replicate 3"):
+        bootstrap(small_table, buggy, n_boot=8, seed=4, threads=threads)
+
+
+@pytest.mark.parametrize("threads, n_boot", [(1, 12), (2, 12), (3, 12), (8, 2)])
+def test_threads_bound_the_threads_that_run_the_pipeline(small_table, threads, n_boot):
+    """The calling thread runs the point pass and takes replicates beside
+    its helpers, so threads=t runs the pipeline on at most t threads, and
+    on no more threads than there are replicates."""
+    seen = set()
+
+    def pipeline(table):
+        seen.add(threading.get_ident())
+        time.sleep(0.002)
+        return 0.5
+
+    bootstrap(small_table, pipeline, n_boot=n_boot, seed=1, threads=threads)
+    assert threading.get_ident() in seen
+    assert len(seen) <= min(threads, n_boot)
 
 
 def test_interval_covers_a_stable_statistic(small_table):

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -272,6 +273,75 @@ def test_a_many_block_fit_agrees_with_the_unblocked_fit(case, block_rows, monkey
     assert (got.n_iter, got.converged) == (want.n_iter, want.converged)
     got, want = np.r_[got.intercept, got.coefficients], np.r_[want.intercept, want.coefficients]
     assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    case=st.sampled_from(sorted(_FIT_CASES)),
+    seed=st.integers(0, 2**32 - 1),
+    block_rows=st.sampled_from([cdf._BLOCK_ROWS, 16]),
+)
+def test_bool_labels_fit_as_their_floats_do(case, seed, block_rows):
+    """fit_logistic keeps bool labels bool: the model has the bytes, n_iter
+    and converged of the same labels as floats, and the errors are the
+    same, in one block or in many."""
+    x, y, ridge, cap = _FIT_CASES[case](np.random.default_rng(seed))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cdf, "_BLOCK_ROWS", block_rows)
+        if cap is not None:
+            patch.setattr(cdf, "IRLS_MAX_ITER", cap)
+        got = _fit_outcome(fit_logistic, x, y.astype(bool), ridge)
+        want = _fit_outcome(fit_logistic, x, y, ridge)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert (got.coefficients.tobytes(), np.float64(got.intercept).tobytes(), got.n_iter,
+            got.converged) == (want.coefficients.tobytes(), np.float64(want.intercept).tobytes(),
+                               want.n_iter, want.converged)
+
+
+def _traced_peak(call):
+    """call()'s result, and the most bytes it held at once under
+    tracemalloc beyond what was held before it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_fit_keeps_the_design_and_one_steps_probabilities():
+    """Beyond its inputs, a fit on 200k rows with bool labels holds the
+    design matrix and one vector of probabilities, with 1 MiB to spare: the
+    labels are not copied to float, and a Newton step frees the last step's
+    probabilities before it computes its own. Either copy is a 1.5 MiB
+    vector at this size, so it cannot hide in the spare MiB."""
+    x, y = _logistic_sample(np.random.default_rng(3), 200_000, 2)
+    y = y.astype(bool)
+    model, peak = _traced_peak(lambda: fit_logistic(x, y))
+    n, p = x.shape
+    assert model.converged and model.n_iter > 1
+    assert peak <= n * (p + 1) * 8 + n * 8 + 2**20
+
+
+def test_a_logistic_estimator_fits_its_bool_indicator_column():
+    """LogisticCdf hands fit_logistic its bool indicator column as it is:
+    with the root's features and indicators cached, a fresh estimator's
+    first rho_pair on 200k rows holds the design, one vector of
+    probabilities and 1 MiB at most, and no float copy of the labels."""
+    x, _ = _logistic_sample(np.random.default_rng(3), 200_000, 2)
+    y = x @ [1.0, -0.5] + np.random.default_rng(4).logistic(size=x.shape[0])
+    schema = TableSchema((Variable("y", "outcome", position=0), Variable("x", "treatment"),
+                          Variable("c", "covariate")))
+    root = DataTable(schema, {"y": y, "x": x[:, 0], "c": x[:, 1]})
+    LogisticCdf(root).rho_pair((0.3,), [(0.0, 0.0)])  # caches the features and indicators
+    est = LogisticCdf(root)
+    _, peak = _traced_peak(lambda: est.rho_pair((0.3,), [(0.0, 0.0)]))
+    n = root.n_rows
+    assert est.diagnostics == []
+    assert peak <= n * 3 * 8 + n * 8 + 2**20
 
 
 _BLAS_FIT = """

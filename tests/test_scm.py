@@ -1146,3 +1146,22 @@ def test_pinned_latent_oracle_scores_the_latent_behind_the_evidence(name):
             ts = [(t,) * spec.n_outcomes]
             want = scm._oracle_result(spec, flip_event(ts, xs), c, u, 1, exact=True)
             assert oracle_evidence(spec, ts, xs, y_ev, x_ev, c) == want
+
+
+@pytest.mark.parametrize("name", ["additive_scalar", "lexi2", "nonmono", "tabular"])
+def test_evidence_rows_of_the_wrong_width_are_config_errors(name):
+    """The evidence treatment and the covariate row are checked against the
+    spec's widths before any inversion or draw, with ScmSpec.outcomes's
+    messages, for a linear mechanism as for a tabular one."""
+    spec = _spec(name)
+    c = tuple(scm._reference_c(spec))
+    x = tuple(spec.policy.support[0])
+    xs, ts = [x, tuple(spec.policy.support[-1])], [(0.5,) * spec.n_outcomes]
+    y_ev = (0.3,) * spec.n_outcomes
+    for role, x_ev, c_ev, need in (("treatment", x + (1.0,), c, len(x)),
+                                   ("covariate", x, c + (0.0,), len(c))):
+        with pytest.raises(ConfigError, match=f"^{role} rows have {need + 1} columns, need {need}$"):
+            oracle_evidence(spec, ts, xs, y_ev, x_ev, c_ev, n_mc=100)
+    if name == "additive_scalar":
+        with pytest.raises(ConfigError, match="^treatment rows have 2 columns, need 1$"):
+            oracle_evidence(spec, [(0.5,)], [(0.0,), (1.5,)], (0.3,), (0.0, 1.0))
