@@ -101,21 +101,20 @@ def _resolve_spec(raw: str):
 
 
 def _cmd_estimate(args) -> int:
-    seed = _resolve_seed(args.seed)
     schema = load_schema(args.schema)
     table = load_table(args.data, schema, delimiter=args.delimiter)
     query = load_query(args.query)
     config = _estimator_config(args)
     [(estimate, boot)] = estimate_with_interval(
         table, [query], config,
-        n_boot=args.bootstrap, seed=seed, alpha=args.alpha, threads=args.threads,
+        n_boot=args.bootstrap, seed=args.seed, alpha=args.alpha, threads=args.threads,
     )
     _emit(
         {
             "command": "estimate",
             "query": query_as_dict(query),
             "estimator": asdict(config),
-            "seed": seed,
+            "seed": args.seed,
             "estimate": estimate.as_dict(),
             "bootstrap": None if boot is None else boot.as_dict(),
         },
@@ -125,32 +124,28 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    seed = _resolve_seed(args.seed)
     spec = _resolve_spec(args.spec)
-    table = simulate(spec, args.n, seed)
+    table = simulate(spec, args.n, args.seed)
     save_table(table, args.out, delimiter=args.delimiter)
     summary = {
         "command": "simulate",
         "n": table.n_rows,
-        "seed": seed,
+        "seed": args.seed,
         "columns": list(table.columns),
         "path": str(args.out),
     }
     if args.schema_out:
-        with open(args.schema_out, "w", encoding="utf-8") as fh:
-            json.dump(table.schema.as_dict(), fh, indent=2)
-            fh.write("\n")
+        _emit(table.schema.as_dict(), args.schema_out)
         summary["schema_path"] = str(args.schema_out)
     _emit(summary, None)
     return EXIT_OK
 
 
 def _cmd_validate(args) -> int:
-    seed = _resolve_seed(args.seed)
     spec = _resolve_spec(args.spec)
     config = _estimator_config(args)
     checks = validate_spec(
-        spec, n=args.n, n_mc=args.n_mc, grid=args.grid, n_u=args.n_u, config=config, seed=seed
+        spec, n=args.n, n_mc=args.n_mc, grid=args.grid, n_u=args.n_u, config=config, seed=args.seed
     )
     for ch in checks:
         sys.stderr.write(f"[{ch['status']}] {ch['name']}: {ch['detail']}\n")
@@ -161,7 +156,7 @@ def _cmd_validate(args) -> int:
             "spec": str(args.spec),
             "n": args.n,
             "n_mc": args.n_mc,
-            "seed": seed,
+            "seed": args.seed,
             "estimator": config.method,
             "checks": checks,
             "all_pass": not failed,
@@ -172,9 +167,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_trajectories(args) -> int:
-    seed = _resolve_seed(args.seed)
     spec = _resolve_spec(args.spec)
-    traj = export_trajectories(spec, _trajectory_grid(spec, args.grid), n_u=args.n_u, seed=seed)
+    traj = export_trajectories(spec, _trajectory_grid(spec, args.grid), n_u=args.n_u, seed=args.seed)
     _save_curves(args.out, traj.x_grid, traj.outcomes)
     _emit(
         {
@@ -182,7 +176,7 @@ def _cmd_trajectories(args) -> int:
             "n_u": traj.outcomes.shape[0],
             "grid": traj.x_grid.shape[0],
             "crossing_count": traj.crossing_count,
-            "seed": seed,
+            "seed": args.seed,
             "path": str(args.out),
         },
         None,
@@ -191,12 +185,11 @@ def _cmd_trajectories(args) -> int:
 
 
 def _cmd_reproduce_student(args) -> int:
-    seed = _resolve_seed(args.seed)
     report = reproduce_student(
         args.data,
         variant=args.variant,
         n_boot=args.bootstrap,
-        seed=seed,
+        seed=args.seed,
         alpha=args.alpha,
         threads=args.threads,
         config=_estimator_config(args),
@@ -313,6 +306,7 @@ def _error_exit(exc: Exception, code: int) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        args.seed = _resolve_seed(args.seed)
         return _HANDLERS[args.command](args)
     except (ConfigError, SchemaError) as exc:
         return _error_exit(exc, EXIT_CONFIG)

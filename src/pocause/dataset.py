@@ -233,7 +233,7 @@ class DataTable:
 
     def stratum_index(self) -> tuple[np.ndarray, dict[tuple, int]]:
         """Each row's (x, c) stratum code, and the code of each distinct
-        (x, c) row, for a table with at least one treatment or covariate.
+        (x, c) row.
 
         One stable sort of the root's (treatment, covariate) rows
         (_distinct_rows) numbers its distinct rows 0, 1, ... in sorted
@@ -324,9 +324,10 @@ def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of a 2-d array and each row's index among them, in
     np.unique(rows, axis=0)'s order (first column primary), by one stable
     sort. Rows equal by value are one row, -0.0 and 0.0 included; the first
-    of them in row order stands for the rest. Rows are compared a column at
-    a time, so no (n, k) boolean temporary is built."""
-    perm = np.lexsort(rows.T[::-1])
+    of them in row order stands for the rest; rows with no columns are all
+    one row. Rows are compared a column at a time, so no (n, k) boolean
+    temporary is built."""
+    perm = np.lexsort(rows.T[::-1]) if rows.shape[1] else np.arange(rows.shape[0])
     ordered = rows[perm]
     starts = np.zeros(rows.shape[0], dtype=bool)
     starts[:1] = True

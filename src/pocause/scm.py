@@ -95,8 +95,6 @@ def _match_rows(rows: np.ndarray, levels: np.ndarray, what: str) -> np.ndarray:
         raise ConfigError(
             f"{what} rows have {rows.shape[1]} columns, levels have {levels.shape[1]}"
         )
-    if levels.shape[1] == 0:
-        return np.zeros(rows.shape[0], dtype=int)
     eq = np.all(rows[:, None, :] == levels[None, :, :], axis=2)
     hit = eq.any(axis=1)
     if not hit.all():
@@ -273,8 +271,7 @@ class TabularMean(_Piece):
         if np.any(np.diff(cuts, axis=2) < 0):
             raise ConfigError("cuts must be nondecreasing within each (x, c) cell")
         _check_distinct(xl, "x_levels")
-        if cl.shape[1]:
-            _check_distinct(cl, "c_levels")
+        _check_distinct(cl, "c_levels")
         object.__setattr__(self, "x_levels", xl)
         object.__setattr__(self, "c_levels", cl)
         object.__setattr__(self, "cuts", cuts)
@@ -439,7 +436,7 @@ class TreatmentPolicy(_Piece):
         rows grouped by one stable sort in np.unique's order."""
         u = rng.random(C.shape[0])
         eta = self.logits[None, :]
-        if C.shape[1] == 0 or self.covariate_logits is None:
+        if self.covariate_logits is None:
             inv = 0
         else:
             profiles, inv = _distinct_rows(C)
@@ -500,6 +497,8 @@ class ScmSpec(_Piece):
 
     def __post_init__(self):
         m = self.mean
+        if m.n_treatments == 0:
+            raise ConfigError("a model needs at least one treatment column")
         if self.policy.support.shape[1] != m.n_treatments:
             raise ConfigError(
                 f"policy support is {self.policy.support.shape[1]}-dimensional, "

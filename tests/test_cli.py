@@ -682,6 +682,49 @@ def test_a_tabular_spec_that_contradicts_itself_is_a_config_error(
     assert _config_error_message(capsys) == message
 
 
+_NO_TREATMENT = "a model needs at least one treatment column"
+
+
+@pytest.mark.parametrize(
+    "base, edits, message",
+    [
+        pytest.param("additive_scalar",
+                     {"mean": {"treat_coef": [[]]}, "policy": {"support": [[]], "logits": [0.0]}},
+                     _NO_TREATMENT, id="linear-without-treatment"),
+        pytest.param("tabular",
+                     {"mean": {"x_levels": [[]], "cuts": [[[0.5, 0.8], [0.6, 0.9]]]},
+                      "policy": {"support": [[]], "logits": [0.0], "covariate_logits": [[0.5]]}},
+                     _NO_TREATMENT, id="tabular-without-treatment"),
+        pytest.param("additive_scalar", {"policy": {"support": [[], []], "logits": [0.0, 0.0]}},
+                     "policy support contains duplicate rows", id="repeated-empty-support"),
+        pytest.param("tabular",
+                     {"mean": {"c_levels": [[], []]}, "covariates": None,
+                      "policy": {"covariate_logits": None}},
+                     "c_levels contains duplicate rows", id="repeated-empty-c-level"),
+        pytest.param("additive_scalar", {"covariates": {"support": [[]], "probs": [1.0]}},
+                     None, id="one-empty-covariate-profile"),
+    ],
+)
+def test_rows_with_no_columns_group_like_any_other_rows(base, edits, message, tmp_path, capsys):
+    """An empty row is one row: listed twice it is a duplicate, listed once
+    it is the one covariate profile of a model without covariates. A
+    model with no treatment column is a fault of the spec."""
+    obj = json.loads(packaged_spec_path(base).read_text(encoding="utf-8"))
+    for section, patch in edits.items():
+        obj[section] = patch if patch is None or obj[section] is None else {**obj[section], **patch}
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(obj), encoding="utf-8")
+    code = main([
+        "simulate", "--spec", str(spec), "--n", "10", "--out", str(tmp_path / "sim.csv"),
+    ])
+    if message is not None:
+        assert code == 2
+        assert _config_error_message(capsys) == message
+    else:
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["columns"] == ["y1", "x1"]
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 @pytest.mark.parametrize("flag, what", [("--atom-tol", "atom_tol"), ("--ridge", "ridge")])
 def test_a_non_finite_estimator_tolerance_is_a_config_error(flag, what, value, simulated, capsys):

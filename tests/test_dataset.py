@@ -21,7 +21,14 @@ from pocause import (
     save_table,
     schema_from_dict,
 )
-from pocause.dataset import _SAVE_CHUNK_ROWS, _csv_cells, _load_csv, _load_numeric, _write_csv
+from pocause.dataset import (
+    _SAVE_CHUNK_ROWS,
+    _csv_cells,
+    _distinct_rows,
+    _load_csv,
+    _load_numeric,
+    _write_csv,
+)
 
 
 def test_outcome_columns_follow_declared_position(write_csv):
@@ -178,6 +185,13 @@ def test_take_of_nothing_is_an_empty_table(indices):
     empty = _three_rows().take(indices)
     assert empty.n_rows == 0
     assert empty.columns["y"].shape == (0,)
+
+
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_rows_with_no_columns_are_one_distinct_row(n):
+    distinct, inverse = _distinct_rows(np.empty((n, 0)))
+    assert distinct.shape == (min(n, 1), 0)
+    np.testing.assert_array_equal(inverse, np.zeros(n, dtype=np.intp))
 
 
 def test_binarize_outcome_strict_and_weak(small_table):

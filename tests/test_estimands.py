@@ -1,3 +1,6 @@
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,10 +9,14 @@ from hypothesis import strategies as st
 from pocause import (
     ConfigError,
     CovariateRow,
+    DataTable,
     EstimatorConfig,
     Evidence,
+    NoSupportError,
     NotIdentifiedError,
     PoCQuery,
+    TableSchema,
+    Variable,
     binary_poc,
     estimate_with_interval,
     evaluate_query,
@@ -273,6 +280,25 @@ def test_interval_reuses_the_point_estimate(small_table, monkeypatch, method):
     assert interval.point == estimate.value
 
 
+def test_a_query_that_fails_on_some_replicates_leaves_the_others_alone():
+    """Treatment 2 has one row, so a resample that misses it cannot answer
+    the first query; the second query's replicates are unaffected, and
+    each interval is the one its query gets on its own."""
+    outcomes = {0: [1, 2, 3, 4] * 2, 1: [2, 3, 4, 5] * 2, 2: [3]}
+    rows = np.array([(y, x) for x, ys in outcomes.items() for y in ys], dtype=float)
+    table = DataTable(
+        schema=TableSchema((Variable("y", "outcome", position=0), Variable("x", "treatment"))),
+        columns={"y": rows[:, 0].copy(), "x": rows[:, 1].copy()},
+    )
+    config = EstimatorConfig(method="empirical")
+    queries = [PoCQuery(kind="pns", thresholds=((3.0,),), treatments=((0.0,), (x1,)))
+               for x1 in (2.0, 1.0)]
+    both = estimate_with_interval(table, queries, config, n_boot=50, seed=1)
+    assert [interval.n_failures for _, interval in both] == [16, 0]
+    assert both == [estimate_with_interval(table, [q], config, n_boot=50, seed=1)[0]
+                    for q in queries]
+
+
 def test_harmful_shift_is_flagged_as_clamped(scalar_schema, write_csv):
     from pocause import load_table
 
@@ -326,6 +352,34 @@ def test_marginal_averages_over_covariate_profiles(scalar_schema, write_csv):
     # Half the rows sit at each covariate value: 0.5 * 0.5 + 0.5 * 0.0.
     assert abs(est.value - 0.25) < EXACT
     assert est.components["n_profiles"] == 2
+
+
+@pytest.mark.parametrize("method", ["empirical", "logistic"])
+def test_marginal_without_covariates_is_pns_over_the_whole_table(method):
+    """With no covariates the one profile is the whole population, so the
+    average is the pns of that profile, bit for bit."""
+    table = simulate(load_scm(packaged_spec_path("additive_scalar")), 3000, seed=12)
+    config = EstimatorConfig(method=method)
+    for arms in (((0.0,), (1.5,)), ((1.5,), (0.0,))):
+        fields = dict(thresholds=((0.5,),), treatments=arms)
+        marginal = evaluate_query(table, PoCQuery(kind="marginal_pns", **fields), config)
+        pns = evaluate_query(table, PoCQuery(kind="pns", **fields), config)
+        assert (marginal.value, marginal.clamped_at_zero) == (pns.value, pns.clamped_at_zero)
+        assert marginal.components == {
+            "n_profiles": 1.0, "clamped_profiles": float(pns.clamped_at_zero)
+        }
+    assert pns.clamped_at_zero and not marginal.value
+
+
+@pytest.mark.parametrize("method", ["empirical", "logistic"])
+@pytest.mark.parametrize("name, threshold", [("additive_scalar", (0.5,)), ("lexi2", (0.4, -0.2))])
+def test_marginal_over_a_table_without_rows_has_no_support(name, threshold, method):
+    spec = load_scm(packaged_spec_path(name))
+    table = simulate(spec, 100, seed=12).take([])
+    query = PoCQuery(kind="marginal_pns", thresholds=(threshold,),
+                     treatments=((0.0,), (1.0,)), order=spec.order)
+    with pytest.raises(NoSupportError, match="^marginal_pns has no rows to average over$"):
+        marginal_pns(table, query, EstimatorConfig(method=method))
 
 
 @pytest.mark.parametrize("method", ["empirical", "logistic"])
@@ -455,6 +509,24 @@ def test_strings_are_not_number_lists(payload, message):
 def test_estimator_config_rejects_a_non_finite_or_negative_setting(field, value):
     with pytest.raises(ConfigError, match=f"^{field} must be finite and >= 0, got {value}$"):
         EstimatorConfig(**{field: value})
+
+
+@pytest.mark.parametrize("value", ["0.1", None, [1e-9], 2**1024],
+                         ids=["string", "none", "list", "past-float-range"])
+@pytest.mark.parametrize("field", ["ridge", "atom_tol"])
+def test_estimator_config_rejects_a_setting_that_is_not_a_number(field, value):
+    with pytest.raises(ConfigError) as info:
+        EstimatorConfig(**{field: value})
+    assert str(info.value) == f"{field} must be a number, got {value!r}"
+
+
+def test_estimator_config_stores_its_settings_as_floats():
+    config = EstimatorConfig(ridge=True, atom_tol=0)
+    assert asdict(config) == {"method": "logistic", "ridge": 1.0, "atom_tol": 0.0}
+    assert [type(v) for v in (config.ridge, config.atom_tol)] == [float, float]
+    assert json.dumps(asdict(EstimatorConfig(ridge=0))) == (
+        '{"method": "logistic", "ridge": 0.0, "atom_tol": 1e-09}'
+    )
 
 
 @pytest.mark.parametrize("atom_tol", [float("nan"), float("inf")])

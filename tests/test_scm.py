@@ -358,6 +358,20 @@ def test_validate_spec_on_nonmono_fires_both_alarms():
     assert set(status) == set(vs_oracle) | {"monotonicity_alarm", "crossing_alarm"}
 
 
+def test_validate_spec_with_uniform_noise_passes_every_check():
+    """A linear mean with uniform_box noise pins its evidence point 30 % of
+    the way across the box, a branch the bundled Gaussian specs never take."""
+    raw = _spec("additive_scalar").as_dict()
+    raw["noise"] = {"kind": "uniform_box", "lo": [-1.0], "hi": [1.0]}
+    checks = validate_spec(
+        scm_from_dict(raw), n=20_000, n_mc=20_000, grid=8, n_u=8,
+        config=EstimatorConfig(method="empirical"), seed=3,
+    )
+    status = {row["name"]: row["status"] for row in checks}
+    assert "evidence_pinned" in status
+    assert set(status.values()) == {"pass"}
+
+
 def test_trajectories_monotone_never_cross():
     spec = _spec("additive_scalar")
     grid = [(0.0,), (0.5,), (1.0,), (1.5,)]

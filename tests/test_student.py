@@ -5,6 +5,8 @@ present; see the acceptance suite. Here we exercise the query table, the
 schema, and a full run on a small synthetic file with the same columns.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -142,6 +144,16 @@ def test_649_row_file_gets_a_verdict_per_banded_row(tmp_path):
     assert verdicts == [False, False, False, True, False, False]
     assert report.all_within_bands is False
     assert format_student_report(report).endswith("\nsome studies off target")
+
+
+def test_report_notes_failed_replicates(grade_file):
+    report = reproduce_student(grade_file, n_boot=4, seed=2)
+    first = report.rows[0]
+    failing = replace(first, interval=replace(first.interval, n_failures=3))
+    lines = format_student_report(replace(report, rows=(failing, *report.rows[1:]))).splitlines()
+    assert [line.count("replicates failed") for line in lines[1:7]] == [1, 0, 0, 0, 0, 0]
+    assert lines[1].endswith("]  (3 replicates failed)")
+    assert "replicates failed" not in format_student_report(report)
 
 
 def test_point_only_run_skips_bootstrap(grade_file):
