@@ -60,8 +60,12 @@ def as_index(value, what: str, error: type[PocError] = ConfigError) -> int:
 
 
 def as_float(value) -> float:
-    """float(value), except that a string raises TypeError: a number
-    written as a string was not written as a number."""
+    """float(value), except that a string raises TypeError (a number
+    written as a string was not written as a number) and an integer past
+    the float range raises ValueError, as other values float() refuses do."""
     if isinstance(value, str):
         raise TypeError(f"{value!r} is a string")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ValueError(str(exc)) from None

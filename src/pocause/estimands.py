@@ -377,7 +377,7 @@ class EstimatorConfig:
             v = getattr(self, name)
             try:
                 x = as_float(v)
-            except (TypeError, ValueError, OverflowError):
+            except (TypeError, ValueError):
                 raise ConfigError(f"{name} must be a number, got {v!r}") from None
             if not 0 <= x < np.inf:
                 raise ConfigError(f"{name} must be finite and >= 0, got {v}")

@@ -55,13 +55,15 @@ _STREAM_ORACLE_EVIDENCE = 2
 _STREAM_MONOTONICITY = 3
 _STREAM_PROBE = 4
 _STREAM_TRAJECTORIES = 5
+_MC_BLOCK = 2**14  # latent rows per Monte Carlo block: oracle memory stays flat in n_mc
 
 
 def _floats(v, name: str) -> np.ndarray:
     """v as a float array; a ragged or non-numeric v, or one holding a
-    string, is a ConfigError that names the field. numpy gives a list that
-    holds a string at any depth a text dtype, or the object dtype when the
-    list also holds None or an integer past int64."""
+    string or an integer past the float range, is a ConfigError that names
+    the field. numpy gives a list that holds a string at any depth a text
+    dtype, or the object dtype when the list also holds None or an integer
+    past int64."""
     try:
         arr = np.asarray(v)
         if arr.dtype.kind in "US" or (
@@ -69,7 +71,7 @@ def _floats(v, name: str) -> np.ndarray:
         ):
             raise TypeError(v)
         return arr.astype(float, copy=False)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{name} must be numbers in a rectangular array, got {v!r}") from None
 
 
@@ -764,12 +766,24 @@ def _support_pairs(spec: ScmSpec) -> list:
     return list(combinations(map(tuple, spec.policy.support), 2))
 
 
-def _latents(spec: ScmSpec, n, seed: int, stream: int) -> np.ndarray:
-    """n latent draws from counter stream `stream` under `seed`."""
+def _latent_blocks(spec: ScmSpec, n, seed: int, stream: int):
+    """n latent draws from counter stream `stream` under `seed`, in order,
+    in blocks of _MC_BLOCK rows; the last block takes the rest, under
+    2 * _MC_BLOCK rows. So no block holds one row unless n is 1: a one-row
+    Y(x) takes another matmul path, which can differ in the last bit."""
     n = int(n)
     if n <= 0:
         raise ConfigError(f"need a positive Monte Carlo size, got {n}")
-    return spec.noise.sample(n, derived_rng(seed, stream))
+    rng = derived_rng(seed, stream)
+    while n:
+        size = n if n < 2 * _MC_BLOCK else _MC_BLOCK
+        n -= size
+        yield spec.noise.sample(size, rng)
+
+
+def _latents(spec: ScmSpec, n, seed: int, stream: int) -> np.ndarray:
+    """n latent draws from counter stream `stream` under `seed`, in one array."""
+    return np.concatenate(list(_latent_blocks(spec, n, seed, stream)))
 
 
 @dataclass(frozen=True)
@@ -785,35 +799,44 @@ class OracleResult:
     clause_values: tuple = ()
 
 
-def _oracle_result(
-    spec: ScmSpec, event: CounterfactualEvent, c, U: np.ndarray, n_mc: int, exact: bool = False
-) -> OracleResult:
-    """The frequency of event, and of each of its clauses on its own, over
-    the latent rows of U (n_mc counts the draws made before any rejection)."""
+def _event_counts(spec: ScmSpec, event: CounterfactualEvent, c, blocks) -> list:
+    """Over the latent rows of every block: the rows, the rows where event
+    holds, and the rows where each of its clauses holds on its own. Exact
+    integer counts, so blocks of one draw count what the whole draw does."""
     order = spec.outcome_order
-    ok = np.ones(U.shape[0], dtype=bool)
-    clause_values = []
-    for clause in event.clauses:
-        y = spec.outcomes(clause.x, c, U)
-        below = at_least = True
-        if clause.below is not None:
-            below = indicator_below(y, clause.below, order)[0]
-        if clause.at_least is not None:
-            at_least = ~indicator_below(y, clause.at_least, order)[0]
-        hit = below & at_least
-        clause_values.append(float(hit.mean()))
-        ok &= hit
-        # Only the running mask outlives a clause: a treatment two clauses
-        # share is evaluated twice rather than held.
-        del y, below, at_least, hit
-    v = float(ok.mean())
+    counts = np.zeros(len(event.clauses) + 2, dtype=np.int64)
+    for U in blocks:
+        ok = np.ones(U.shape[0], dtype=bool)
+        counts[0] += U.shape[0]
+        for i, clause in enumerate(event.clauses, 2):
+            y = spec.outcomes(clause.x, c, U)
+            below = at_least = True
+            if clause.below is not None:
+                below = indicator_below(y, clause.below, order)[0]
+            if clause.at_least is not None:
+                at_least = ~indicator_below(y, clause.at_least, order)[0]
+            hit = below & at_least
+            counts[i] += np.count_nonzero(hit)
+            ok &= hit
+            # Only the running mask outlives a clause: a treatment two clauses
+            # share is evaluated twice rather than held.
+            del y, below, at_least, hit
+        counts[1] += np.count_nonzero(ok)
+    return counts.tolist()
+
+
+def _oracle_result(counts: list, n_mc: int, exact: bool = False) -> OracleResult:
+    """The frequencies of _event_counts' counts over the rows used (n_mc
+    counts the draws made before any rejection)."""
+    n_used, hits, *clause_hits = counts
+    v = hits / n_used
     return OracleResult(
         value=v,
-        std_error=float(np.sqrt(v * (1.0 - v) / U.shape[0])),
+        std_error=float(np.sqrt(v * (1.0 - v) / n_used)),
         n_mc=n_mc,
-        n_used=U.shape[0],
+        n_used=n_used,
         exact=exact,
-        clause_values=tuple(clause_values),
+        clause_values=tuple(k / n_used for k in clause_hits),
     )
 
 
@@ -825,8 +848,8 @@ def oracle_joint(
     This is the ground truth the identification formulas are supposed to
     recover: no CDFs, no modeling, just the mechanism run both ways.
     """
-    U = _latents(spec, n_mc, seed, _STREAM_ORACLE_JOINT)
-    return _oracle_result(spec, event, c, U, U.shape[0])
+    blocks = _latent_blocks(spec, n_mc, seed, _STREAM_ORACLE_JOINT)
+    return _oracle_result(_event_counts(spec, event, c, blocks), int(n_mc))
 
 
 def oracle_evidence(
@@ -866,17 +889,19 @@ def oracle_evidence(
                 "the observed outcome cannot occur under this mechanism "
                 f"(implied latent {u_star.tolist()} is outside the noise support)"
             )
-        return _oracle_result(spec, event, c_arr, u_star.reshape(1, -1), 1, exact=True)
+        return _oracle_result(_event_counts(spec, event, c_arr, [u_star[None]]), 1, exact=True)
 
-    U = _latents(spec, n_mc, seed, _STREAM_ORACLE_EVIDENCE)
-    Yx = spec.outcomes(ev_x, c_arr, U)
-    match = np.max(np.abs(Yx - ev_y), axis=1) <= atom_tol
-    if not match.any():
+    def matching(U):
+        return U[np.max(np.abs(spec.outcomes(ev_x, c_arr, U) - ev_y), axis=1) <= atom_tol]
+
+    blocks = map(matching, _latent_blocks(spec, n_mc, seed, _STREAM_ORACLE_EVIDENCE))
+    counts = _event_counts(spec, event, c_arr, blocks)
+    if not counts[0]:
         raise NoSupportError(
             f"no draws produced the observed outcome {ev_y.tolist()} "
             f"under treatment {ev_x.tolist()}; it has no support there"
         )
-    return _oracle_result(spec, event, c_arr, U[match], U.shape[0])
+    return _oracle_result(counts, int(n_mc))
 
 
 @dataclass(frozen=True)
@@ -924,30 +949,34 @@ def check_monotonicity(
     ladder = _sorted_rows(_matrix(list(dict.fromkeys(thresholds)), "thresholds"), order)
     n_t = ladder.shape[0]
 
-    U = _latents(spec, n_mc, seed, _STREAM_MONOTONICITY)
-    n_mc = U.shape[0]
     c = _reference_c(spec) if c is None else c
 
     def key(x):
         return np.asarray(x, dtype=float).tobytes()
 
-    def at_most(ranks):
-        """Draws of rank at most j, for each ladder position j."""
-        return np.cumsum(np.bincount(ranks, minlength=n_t + 1))[:n_t]
+    def count(ranks):
+        """Draws of each rank, 0 to n_t."""
+        return np.bincount(ranks, minlength=n_t + 1)
 
-    rank = {}
-    for x in chain.from_iterable(pairs):
-        if key(x) not in rank:
-            # Only the ranks of each Y(x) outlive its ranking.
-            rank[key(x)] = _threshold_ranks(spec.outcomes(x, c, U), ladder, order)
-    below = {k: at_most(r) for k, r in rank.items()}
+    # Rank counts add up over the blocks of one draw; only the ranks of
+    # each Y(x) in one block outlive its ranking.
+    below, both = {}, [0] * len(pairs)
+    for U in _latent_blocks(spec, n_mc, seed, _STREAM_MONOTONICITY):
+        rank = {}
+        for x in chain.from_iterable(pairs):
+            if key(x) not in rank:
+                rank[key(x)] = _threshold_ranks(spec.outcomes(x, c, U), ladder, order)
+                below[key(x)] = below.get(key(x), 0) + count(rank[key(x)])
+        for i, (xa, xb) in enumerate(pairs):
+            both[i] = both[i] + count(np.maximum(rank[key(xa)], rank[key(xb)]))
+    n_mc = int(n_mc)
+    # Draws of rank at most j, for each ladder position j.
+    below = {k: np.cumsum(v)[:n_t] for k, v in below.items()}
     flips = np.empty((len(pairs), n_t), dtype=np.int64)
     for i, (xa, xb) in enumerate(pairs):
-        ka, kb = key(xa), key(xb)
         # Y(xa) before ladder[j] and Y(xb) not is below[ka] less the draws
         # before it under both; the mirror likewise.
-        both = at_most(np.maximum(rank[ka], rank[kb]))
-        flips[i] = np.minimum(below[ka], below[kb]) - both
+        flips[i] = np.minimum(below[key(xa)], below[key(xb)]) - np.cumsum(both[i])[:n_t]
     # Each threshold reads the last ladder column it reaches, which it ties,
     # and tied thresholds split the draws alike. argmax takes the first
     # largest in pair-major order.

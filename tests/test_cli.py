@@ -745,3 +745,44 @@ def test_the_atom_tol_default_is_the_library_default():
 
     args = build_parser().parse_args(["estimate", "--data", "d", "--schema", "s", "--query", "q"])
     assert args.atom_tol == DEFAULT_ATOM_TOL
+
+
+_HUGE = 10**400  # a JSON integer past the float range
+
+
+@pytest.mark.parametrize(
+    "base, section, patch, message",
+    [
+        pytest.param("nonmono", "coupling", {"flip_at": _HUGE},
+                     f"flip_at must be a number, got {_HUGE!r}", id="flip-at"),
+        pytest.param("additive_scalar", "mean", {"treat_coef": [[_HUGE]]},
+                     f"treat_coef must be numbers in a rectangular array, got {[[_HUGE]]!r}",
+                     id="treat-coef"),
+        pytest.param("lexi2", "order", {"kind": "scalar_score", "weights": [1.0, _HUGE]},
+                     f"weights must be a list of numbers, got {(1.0, _HUGE)!r}",
+                     id="score-weights"),
+    ],
+)
+def test_a_spec_integer_past_the_float_range_is_a_config_error(
+    base, section, patch, message, tmp_path, capsys
+):
+    """float() of such an integer raises OverflowError; it is a spec
+    value that is not a number, named by its field, not a crash."""
+    obj = json.loads(packaged_spec_path(base).read_text(encoding="utf-8"))
+    obj[section] = {**obj[section], **patch} if section != "order" else patch
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(obj), encoding="utf-8")
+    code = main([
+        "simulate", "--spec", str(spec), "--n", "10", "--out", str(tmp_path / "sim.csv"),
+    ])
+    assert code == 2
+    assert _config_error_message(capsys) == message
+
+
+def test_a_query_integer_past_the_float_range_is_a_config_error(workdir, capsys):
+    (workdir / "query.json").write_text(json.dumps({**QUERY, "threshold": [_HUGE]}),
+                                        encoding="utf-8")
+    assert main(_estimate_args(workdir)) == 2
+    assert _config_error_message(capsys) == (
+        f"threshold must be a list of numbers, got {[_HUGE]!r}"
+    )

@@ -1158,7 +1158,7 @@ def test_pinned_latent_oracle_scores_the_latent_behind_the_evidence(name):
         y_ev = spec.outcomes(x_ev, c, u)[0]
         for t in np.linspace(-2.0, 2.0, 9):
             ts = [(t,) * spec.n_outcomes]
-            want = scm._oracle_result(spec, flip_event(ts, xs), c, u, 1, exact=True)
+            want = _one_draw_oracle(spec, flip_event(ts, xs), c, u, 1, exact=True)
             assert oracle_evidence(spec, ts, xs, y_ev, x_ev, c) == want
 
 
@@ -1179,3 +1179,175 @@ def test_evidence_rows_of_the_wrong_width_are_config_errors(name):
     if name == "additive_scalar":
         with pytest.raises(ConfigError, match="^treatment rows have 2 columns, need 1$"):
             oracle_evidence(spec, [(0.5,)], [(0.0,), (1.5,)], (0.3,), (0.0, 1.0))
+
+
+def _one_draw_oracle(spec, event, c, U, n_mc, exact=False):
+    """The oracle over one latent array U, drawn at once: the mean of the
+    event's hits and of each clause's (n_mc counts the draws made before
+    any rejection). The reference the blocked oracles must match."""
+    from pocause.ordering import indicator_below
+
+    ok = np.ones(U.shape[0], dtype=bool)
+    clause_values = []
+    for clause in event.clauses:
+        y = spec.outcomes(clause.x, c, U)
+        hit = np.ones(U.shape[0], dtype=bool)
+        if clause.below is not None:
+            hit &= indicator_below(y, clause.below, spec.outcome_order)[0]
+        if clause.at_least is not None:
+            hit &= ~indicator_below(y, clause.at_least, spec.outcome_order)[0]
+        clause_values.append(float(hit.mean()))
+        ok &= hit
+    v = float(ok.mean())
+    return scm.OracleResult(
+        value=v, std_error=float(np.sqrt(v * (1.0 - v) / U.shape[0])), n_mc=n_mc,
+        n_used=U.shape[0], exact=exact, clause_values=tuple(clause_values),
+    )
+
+
+def _one_draw(spec, n, seed, stream):
+    """n latent rows of stream `stream` under `seed`, drawn at once."""
+    return spec.noise.sample(n, derived_rng(seed, stream))
+
+
+def _wide_linear():
+    """A nonmonotone linear model with 3 treatment and 3 covariate columns
+    and coefficients that are not dyadic, where a one-row Y(x) product can
+    differ in the last bit from the same row's product in a broadcast one."""
+    return scm_from_dict({
+        "mean": {"kind": "linear",
+                 "treat_coef": [[0.37, -1.13, 0.71], [1.29, 0.23, -0.47]],
+                 "cov_coef": [[0.53, -0.31, 0.17], [-0.61, 0.43, 0.29]],
+                 "intercept": [0.11, -0.07]},
+        "noise": {"kind": "gaussian_diag", "mean": [0.0, 0.0], "sd": [1.0, 0.7]},
+        "coupling": {"kind": "nonmonotone_test", "flip_at": 0.5},
+        "policy": {"support": [[0.1, 0.3, 0.7], [0.9, 0.6, 0.2], [0.3, 0.9, 0.5]],
+                   "logits": [0.0, 0.0, 0.0]},
+        "covariates": {"support": [[0.3, 0.7, 0.9], [0.1, 0.2, 0.6]], "probs": [0.5, 0.5]},
+        "order": None,
+    })
+
+
+_BLOCKED_SPECS = ["additive_scalar", "lexi2", "nonmono", "tabular", "wide"]
+# Monte Carlo sizes k * _MC_BLOCK + r, around and across block boundaries.
+_MC_SIZES = [(0, 1), (0, 2), (1, -1), (1, 0), (1, 1), (2, 1), (3, 7)]
+
+
+def _blocked_spec(name):
+    return _wide_linear() if name == "wide" else _spec(name)
+
+
+def _mc_size(k, r):
+    return k * scm._MC_BLOCK + r
+
+
+@pytest.mark.parametrize("k, r", _MC_SIZES)
+@pytest.mark.parametrize("name", _BLOCKED_SPECS)
+def test_latent_blocks_are_the_one_draw_in_order(name, k, r):
+    """The blocks stack to the rows of one draw, byte for byte; none holds
+    one row unless the draw does, or more than two blocks' worth; and Y(x)
+    over the blocks is Y(x) over the one draw, bit for bit."""
+    spec, n = _blocked_spec(name), _mc_size(k, r)
+    U = _one_draw(spec, n, 5, scm._STREAM_ORACLE_JOINT)
+    blocks = list(scm._latent_blocks(spec, n, 5, scm._STREAM_ORACLE_JOINT))
+    sizes = [b.shape[0] for b in blocks]
+    assert sum(sizes) == n
+    assert all(1 < s < 2 * scm._MC_BLOCK or s == n == 1 for s in sizes)
+    assert np.concatenate(blocks).tobytes() == U.tobytes()
+    assert scm._latents(spec, n, 5, scm._STREAM_ORACLE_JOINT).tobytes() == U.tobytes()
+    profiles = [()] if spec.covariates is None else map(tuple, spec.covariates.support)
+    for c, x in itertools.product(profiles, map(tuple, spec.policy.support)):
+        by_block = np.concatenate([spec.outcomes(x, c, b) for b in blocks])
+        assert by_block.tobytes() == spec.outcomes(x, c, U).tobytes()
+
+
+@pytest.mark.parametrize("k, r", _MC_SIZES)
+@pytest.mark.parametrize("name", _BLOCKED_SPECS)
+def test_blocked_oracles_match_the_one_draw(name, k, r):
+    """oracle_joint on a flip and on a two-step chain, and check_monotonicity
+    on the support pairs, give exactly the one-draw results."""
+    spec, n = _blocked_spec(name), _mc_size(k, r)
+    thresholds, pairs = monotonicity_probe(spec, n_thresholds=5, n_pilot=500, seed=1)
+    c = scm._reference_c(spec)
+    xs = [tuple(x) for x in spec.policy.support]
+    U = _one_draw(spec, n, 7, scm._STREAM_ORACLE_JOINT)
+    for event in (flip_event([thresholds[2]], [xs[0], xs[-1]]),
+                  flip_event([thresholds[1], thresholds[3]], [xs[0], xs[-1], xs[0]])):
+        assert oracle_joint(spec, event, c, n, 7) == _one_draw_oracle(spec, event, c, U, n)
+    got = check_monotonicity(spec, thresholds, pairs=pairs, n_mc=n, seed=7)
+    assert got == _cached_monotonicity(spec, thresholds, pairs, n_mc=n, seed=7)
+
+
+@pytest.mark.parametrize("k, r", _MC_SIZES)
+@pytest.mark.parametrize("evidence", [((1.0,), (1.0,), (0.0,)), ((3.0,), (2.0,), (1.0,))])
+def test_blocked_rejection_oracle_matches_the_one_draw(evidence, k, r):
+    """The rejection oracle keeps each block's matching draws and gives the
+    one-draw result, its std_error over the draws used; with no match
+    anywhere it raises the one-draw NoSupportError."""
+    spec, n = _spec("tabular"), _mc_size(k, r)
+    y_ev, x_ev, c = evidence
+    ts, xs = [(2.0,)], [(1.0,), (2.0,)]
+    U = _one_draw(spec, n, 9, scm._STREAM_ORACLE_EVIDENCE)
+    U = U[np.abs(spec.outcomes(x_ev, c, U) - y_ev).max(axis=1) <= 1e-9]
+    if not U.shape[0]:
+        with pytest.raises(NoSupportError, match=r"^no draws produced the observed outcome"):
+            oracle_evidence(spec, ts, xs, y_ev, x_ev, c, n_mc=n, seed=9)
+        return
+    got = oracle_evidence(spec, ts, xs, y_ev, x_ev, c, n_mc=n, seed=9)
+    assert got == _one_draw_oracle(spec, flip_event(ts, xs), np.asarray(c), U, n)
+    assert got.std_error == math.sqrt(got.value * (1.0 - got.value) / got.n_used)
+
+
+def test_a_rejection_block_may_keep_no_draw_or_one():
+    """An atom of width 5e-5 leaves some blocks with no matching draw and
+    some with one; those count zero and one, and the sum is the one-draw
+    result."""
+    obj = json.load(open(packaged_spec_path("tabular"), encoding="utf-8"))
+    obj["mean"]["cuts"][0][0] = [5e-5, 0.8]
+    spec = scm_from_dict(obj)
+    n, args = 10 * scm._MC_BLOCK + 3, ([(2.0,)], [(1.0,), (2.0,)], (1.0,), (1.0,), (0.0,))
+    kept = [int(np.count_nonzero(spec.outcomes((1.0,), (0.0,), b)[:, 0] == 1.0))
+            for b in scm._latent_blocks(spec, n, 4, scm._STREAM_ORACLE_EVIDENCE)]
+    assert 0 in kept and 1 in kept
+    U = _one_draw(spec, n, 4, scm._STREAM_ORACLE_EVIDENCE)
+    U = U[spec.outcomes((1.0,), (0.0,), U)[:, 0] == 1.0]
+    got = oracle_evidence(spec, *args, n_mc=n, seed=4)
+    assert got.n_used == sum(kept) == U.shape[0]
+    assert got == _one_draw_oracle(spec, flip_event(*args[:2]), np.asarray((0.0,)), U, n)
+
+
+def test_a_rejection_oracle_with_no_match_in_any_block_names_the_atom():
+    spec = _spec("tabular")
+    message = ("no draws produced the observed outcome [7.0] under treatment [1.0]; "
+               "it has no support there")
+    with pytest.raises(NoSupportError, match=f"^{re.escape(message)}$"):
+        oracle_evidence(spec, [(2.0,)], [(1.0,), (2.0,)], (7.0,), (1.0,), (0.0,),
+                        n_mc=2 * scm._MC_BLOCK + 1, seed=8)
+
+
+@pytest.mark.parametrize("n_mc", [0, -3])
+def test_oracles_need_a_positive_size(n_mc):
+    message = f"^need a positive Monte Carlo size, got {n_mc}$"
+    with pytest.raises(ConfigError, match=message):
+        oracle_joint(_spec("lexi2"), flip_event([(0.5, 0.0)], [(0.0,), (1.0,)]), (0.0,), n_mc)
+    with pytest.raises(ConfigError, match=message):
+        oracle_evidence(_spec("tabular"), [(2.0,)], [(1.0,), (2.0,)], (1.0,), (1.0,), (0.0,),
+                        n_mc=n_mc)
+
+
+def test_oracle_memory_does_not_grow_with_the_draw_count():
+    """At a million draws each oracle holds a few blocks at once, under
+    4 MiB; one lexi2 draw of that size alone is 15 MiB."""
+    from test_cdf import _traced_peak
+
+    lexi2, tabular = _spec("lexi2"), _spec("tabular")
+    xs, n = [(0.0,), (1.0,)], 1_000_000
+    calls = {
+        "oracle_joint": lambda: oracle_joint(lexi2, flip_event([(0.5, 0.0)], xs), (0.0,), n, 3),
+        "oracle_evidence": lambda: oracle_evidence(
+            tabular, [(2.0,)], [(1.0,), (2.0,)], (1.0,), (1.0,), (0.0,), n_mc=n, seed=3),
+        "check_monotonicity": lambda: check_monotonicity(
+            lexi2, [(0.5, 0.0), (-0.2, 1.0)], n_mc=n, seed=3),
+    }
+    peaks = {name: _traced_peak(call)[1] for name, call in calls.items()}
+    assert all(peak < 4 * 2**20 for peak in peaks.values()), peaks

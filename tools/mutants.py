@@ -10,6 +10,8 @@ there, and runs the mutant's test files with `pytest -x -q`. It first
 checks that every chosen edit's old text occurs exactly once, and that the
 unmutated copy passes the union of the test files. It prints one table row
 per mutant: caught or not, the first failing test and the seconds taken.
+A mutant argued equivalent stays listed, marked as such, so that a test
+that starts to catch it shows.
 The script is report-only: it changes nothing in the tree it runs from,
 and its exit code says only whether it could run.
 """
@@ -38,6 +40,7 @@ class Mutant(NamedTuple):
     new: str
     reason: str
     tests: tuple[str, ...]
+    equivalent: bool = False  # argued to change no result; "not caught" is expected
 
 
 MUTANTS = [
@@ -86,7 +89,7 @@ MUTANTS = [
         "estimator-config-unconverted", "src/pocause/estimands.py",
         "            try:\n"
         "                x = as_float(v)\n"
-        "            except (TypeError, ValueError, OverflowError):\n"
+        "            except (TypeError, ValueError):\n"
         '                raise ConfigError(f"{name} must be a number, got {v!r}") from None\n',
         "            x = v\n",
         "EstimatorConfig keeps ridge and atom_tol as given, numbers or not",
@@ -105,6 +108,168 @@ MUTANTS = [
         "                pass\n",
         "the student report stops saying how many replicates failed",
         ("tests/test_student.py",),
+    ),
+    Mutant(
+        "empirical-strict-reads-weak", "src/pocause/cdf.py",
+        "        return strict[codes] / sizes, weak[codes] / sizes\n",
+        "        return weak[codes] / sizes, weak[codes] / sizes\n",
+        "EmpiricalCdf answers its strict CDF (below y) with the weak one (at or below y)",
+        ("tests/test_exact_answers.py",),
+    ),
+    # The sorted-ladder bucket search, scm._ladder_search.
+    Mutant(
+        "ladder-nan-shares-last-bucket", "src/pocause/scm.py",
+        "    top = 16 * n_l + 2", "    top = 16 * n_l + 1",
+        "NaN keys share the bucket of the last ladder value",
+        ("tests/test_scm.py",),
+    ),
+    Mutant(
+        "ladder-sides-swapped", "src/pocause/scm.py",
+        '        reached = np.less_equal if side == "right" else np.less\n',
+        '        reached = np.less if side == "right" else np.less_equal\n',
+        "the left and right searches compare the next ladder value the other way",
+        ("tests/test_scm.py",),
+    ),
+    Mutant(
+        "ladder-pairs-not-searched", "src/pocause/scm.py",
+        "        shared = count > 1\n", "        shared = count > 2\n",
+        "a key in a bucket of exactly two ladder values is placed by one comparison",
+        ("tests/test_scm.py",),
+    ),
+    Mutant(
+        "ladder-inclusive-counts", "src/pocause/scm.py",
+        "        before -= count\n", "",
+        "a key's index counts the ladder values in its own bucket too",
+        ("tests/test_scm.py",),
+    ),
+    Mutant(
+        "ladder-no-lower-clip", "src/pocause/scm.py",
+        "        np.fmax(b, 0.0, out=b)\n", "",
+        "keys far below the ladder take negative buckets",
+        ("tests/test_scm.py",),
+    ),
+    Mutant(
+        "ladder-inf-sentinel", "src/pocause/scm.py",
+        "np.append(ladder, np.nan)", "np.append(ladder, np.inf)",
+        "the value past the ladder's end is +inf, which an inf key reaches",
+        ("tests/test_scm.py",),
+    ),
+    Mutant(
+        "ladder-key-bucket-rounded", "src/pocause/scm.py",
+        "            b = buckets(v)\n", "            b = buckets(v + 0.5 / scale)\n",
+        "a key whose bucket fraction is 0.5 or more lands one bucket up",
+        ("tests/test_scm.py",),
+    ),
+    Mutant(
+        "ladder-offset-half", "src/pocause/scm.py",
+        "        b += 1.0\n", "        b += 0.5\n",
+        "equivalent: the bucket map stays monotone and ladder and keys share it",
+        ("tests/test_scm.py",),
+        equivalent=True,
+    ),
+    Mutant(
+        "ladder-buckets-at-every-size", "src/pocause/scm.py",
+        "    if n_l >= 16:\n", "    if n_l:\n",
+        "equivalent: the 16-value cut is for speed, and the bucket path is exact at any size",
+        ("tests/test_scm.py",),
+        equivalent=True,
+    ),
+    # The column-wise CSV writer and the array checks it came with.
+    Mutant(
+        "csv-lone-empty-unquoted", "src/pocause/dataset.py",
+        "[[cell or '\"\"' for cell in columns[0]]]", "[list(columns[0])]",
+        "a one-column row holding an empty cell is written as an empty line",
+        ("tests/test_dataset.py",),
+    ),
+    Mutant(
+        "csv-quotes-not-doubled", "src/pocause/dataset.py",
+        "t.replace('\"', '\"\"')", "t",
+        "a quote inside a quoted cell is written as it is",
+        ("tests/test_dataset.py",),
+    ),
+    Mutant(
+        "csv-cr-not-special", "src/pocause/dataset.py",
+        "    special = (delimiter, '\"', \"\\r\", \"\\n\")\n",
+        "    special = (delimiter, '\"', \"\\n\")\n",
+        "a cell holding a carriage return is not quoted",
+        ("tests/test_dataset.py",),
+    ),
+    Mutant(
+        "csv-lf-line-ends", "src/pocause/dataset.py",
+        'fh.write("\\r\\n".join(rows) + "\\r\\n")', 'fh.write("\\n".join(rows) + "\\n")',
+        "rows end in \\n, not csv.writer's \\r\\n",
+        ("tests/test_dataset.py",),
+    ),
+    Mutant(
+        "csv-only-lf-delimiter-rejected", "src/pocause/dataset.py",
+        '    if delimiter in "\\r\\n":\n', '    if delimiter == "\\n":\n',
+        "a carriage-return delimiter is accepted",
+        ("tests/test_dataset.py",),
+    ),
+    Mutant(
+        "floats-object-arrays-not-scanned", "src/pocause/scm.py",
+        '            arr.dtype.kind == "O" and any(', "            False and any(",
+        "a spec array mixing None or a huge integer with a numeric string is read as numbers",
+        ("tests/test_scm.py",),
+    ),
+    Mutant(
+        "floats-text-accepted", "src/pocause/scm.py",
+        '        if arr.dtype.kind in "US" or (', "        if (",
+        "a spec array of numeric strings is read as numbers",
+        ("tests/test_cli.py", "tests/test_scm.py"),
+    ),
+    Mutant(
+        "floats-bytes-accepted", "src/pocause/scm.py",
+        'arr.dtype.kind in "US"', 'arr.dtype.kind in "U"',
+        "equivalent: JSON gives no bytes, so no spec array has the S dtype",
+        ("tests/test_cli.py", "tests/test_scm.py"),
+        equivalent=True,
+    ),
+    # The Monte Carlo oracles over blocks of latent draws.
+    Mutant(
+        "mc-tail-dropped", "src/pocause/scm.py",
+        "        n -= size\n",
+        "        n -= size\n        size -= size % _MC_BLOCK if size > _MC_BLOCK else 0\n",
+        "the rows past the last whole block are never drawn",
+        ("tests/test_scm.py",),
+    ),
+    Mutant(
+        "mc-one-row-tail", "src/pocause/scm.py",
+        "        size = n if n < 2 * _MC_BLOCK else _MC_BLOCK\n",
+        "        size = min(n, _MC_BLOCK)\n",
+        "every block but the last is full, so k * _MC_BLOCK + 1 draws end in a one-row block",
+        ("tests/test_scm.py",),
+    ),
+    Mutant(
+        "mc-n-used-last-block", "src/pocause/scm.py",
+        "        counts[0] += U.shape[0]\n", "        counts[0] = U.shape[0]\n",
+        "n_used, and every frequency's denominator, is the last block's row count",
+        ("tests/test_scm.py",),
+    ),
+    Mutant(
+        "mc-event-count-unsummed", "src/pocause/scm.py",
+        "        counts[1] += np.count_nonzero(ok)\n", "        counts[1] = np.count_nonzero(ok)\n",
+        "the event's hits are the last block's",
+        ("tests/test_scm.py",),
+    ),
+    Mutant(
+        "mc-clause-counts-unsummed", "src/pocause/scm.py",
+        "            counts[i] += np.count_nonzero(hit)\n",
+        "            counts[i] = np.count_nonzero(hit)\n",
+        "each clause's hits are the last block's",
+        ("tests/test_scm.py",),
+    ),
+    Mutant(
+        "mc-rejection-se-over-n-mc", "src/pocause/scm.py",
+        "np.sqrt(v * (1.0 - v) / n_used)", "np.sqrt(v * (1.0 - v) / n_mc)",
+        "a rejection oracle's std_error divides by the draws made, not the draws kept",
+        ("tests/test_scm.py",),
+    ),
+    Mutant(
+        "mc-pair-count-one-side", "src/pocause/scm.py",
+        "count(np.maximum(rank[key(xa)], rank[key(xb)]))", "count(rank[key(xa)])",
+        "the draws below a threshold under both treatments are counted under xa alone",
+        ("tests/test_scm.py",),
     ),
 ]
 
@@ -177,6 +342,8 @@ def main(argv=None) -> int:
             _apply(tree, mutant)
             passed, first, seconds = _run(tree, mutant.tests)
             result = "not caught" if passed else "caught"
+            if mutant.equivalent:
+                result += " (equivalent)"
             print(f"| {mutant.name} | {result} | {first or '-'} | {seconds:.1f} |", flush=True)
             shutil.rmtree(tree)
     return 0
